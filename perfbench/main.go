@@ -79,37 +79,35 @@ type workload struct {
 	rate float64
 	// warmup is the untimed units each pass runs before timing.
 	warmup int
-	sim    bool
 }
 
 var workloads = []workload{
 	{
 		name: "tcp-mix",
-		full: &tcpWorkload{nodes: 24, comms: 8, perComm: 50, mix: tcpMix},
-		tiny: &tcpWorkload{nodes: 6, comms: 4, perComm: 10, mix: tcpMix},
+		full: &tcpWorkload{nodes: 24, comms: 8, perComm: 50},
+		tiny: &tcpWorkload{nodes: 6, comms: 4, perComm: 10},
 		rate: 650, warmup: 60,
 	},
 	{
 		name: "sim-dht-churn",
-		full: &simWorkload{proto: sim.DHT, peers: 500, comms: 20, perComm: 50, joinPer: 4, mix: dhtMix,
-			rate: 10, arrivalRate: 1, departureRate: 1, refreshEvery: 30 * time.Second},
-		tiny: &simWorkload{proto: sim.DHT, peers: 60, comms: 8, perComm: 10, joinPer: 3, mix: dhtMix,
-			rate: 10, arrivalRate: 0.5, departureRate: 0.5, refreshEvery: 10 * time.Second},
-		rate: 200, warmup: 40, sim: true,
+		full: &simWorkload{proto: sim.DHT, peers: 500, comms: 20, perComm: 50, joinPer: 4,
+			churn: true, refreshEvery: 30 * time.Second},
+		tiny: &simWorkload{proto: sim.DHT, peers: 60, comms: 8, perComm: 10, joinPer: 3,
+			churn: true, refreshEvery: 10 * time.Second},
+		rate: 200, warmup: 40,
 	},
 	{
 		name: "sim-gnutella-flood",
-		full: &simWorkload{proto: sim.Gnutella, peers: 500, comms: 20, perComm: 50, joinPer: 4, mix: floodMix, rate: 10},
-		tiny: &simWorkload{proto: sim.Gnutella, peers: 60, comms: 8, perComm: 10, joinPer: 3, mix: floodMix, rate: 10},
-		rate: 600, warmup: 40, sim: true,
+		full: &simWorkload{proto: sim.Gnutella, peers: 500, comms: 20, perComm: 50, joinPer: 4},
+		tiny: &simWorkload{proto: sim.Gnutella, peers: 60, comms: 8, perComm: 10, joinPer: 3},
+		rate: 600, warmup: 40,
 	},
 }
 
-var (
-	tcpMix   = [numClasses]float64{opSearch: 0.70, opDiscover: 0.10, opPublish: 0.10, opRetrieve: 0.10}
-	dhtMix   = [numClasses]float64{opSearch: 0.85, opDiscover: 0.05, opRetrieve: 0.10}
-	floodMix = [numClasses]float64{opSearch: 0.80, opDiscover: 0.05, opPublish: 0.05, opRetrieve: 0.10}
-)
+// opMix is every workload's share of each draw: a search, a discover,
+// a publish (a /create on tcp-mix) and a retrieve, which is always
+// followed by a view of the fetched object.
+var opMix = [numClasses]float64{opSearch: 0.70, opDiscover: 0.10, opPublish: 0.10, opRetrieve: 0.10}
 
 type options struct {
 	workload string
@@ -263,7 +261,7 @@ func gate(w workload, results []*passResult) []string {
 				i+1, r.planned, r.attempted, samples, r.failed))
 		}
 	}
-	if !w.sim {
+	if _, isSim := w.full.(*simWorkload); !isSim {
 		return problems
 	}
 	first := results[0]

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -98,13 +99,55 @@ Showing nodes accounting for 100ms, 100% of 100ms total
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{"cpu.dht": 0.4, "cpu.malloc": 0.3, "cpu.json_envelope": 0.2, "cpu.other": 0.1}
+	want := map[string]float64{"cpu.dht": 40, "cpu.malloc": 30, "cpu.json_envelope": 20, "cpu.other": 10}
 	for name, v := range want {
 		if got[name] != v {
-			t.Errorf("%s = %v, want %v", name, got[name], v)
+			t.Errorf("%s = %v ms, want %v", name, got[name], v)
 		}
 	}
 	if len(got) != len(cpuBucketNames()) {
 		t.Errorf("%d buckets reported, want every bucket (%d)", len(got), len(cpuBucketNames()))
+	}
+}
+
+// TestLoadgenSamplesStayOutOfLayers checks that the clients' own
+// net/http and socket work, which the profile labels as the load
+// generator's, counts as cpu.loadgen and not as the servent's.
+func TestLoadgenSamplesStayOutOfLayers(t *testing.T) {
+	program := []byte(`Type: cpu
+Active filters:
+   tagignore=role=loadgen
+Showing nodes accounting for 60ms, 60% of 100ms total
+      flat  flat%   sum%        cum   cum%
+      30ms 30.00% 30.00%       40ms 40.00%  net/http.(*conn).serve
+      20ms 20.00% 50.00%       20ms 20.00%  repro/internal/xslt.(*Processor).Apply
+      10ms 10.00% 60.00%       10ms 10.00%  main.(*tracedHandler).ServeHTTP
+`)
+	loadgen := []byte(`Type: cpu
+Active filters:
+   tagfocus=role=loadgen
+Showing nodes accounting for 40ms, 40% of 100ms total
+      flat  flat%   sum%        cum   cum%
+      25ms 25.00% 25.00%       30ms 30.00%  net/http.(*persistConn).readLoop
+      10ms 10.00% 35.00%       10ms 10.00%  syscall.Syscall
+       5ms  5.00% 40.00%        5ms  5.00%  regexp.(*Regexp).FindAllSubmatch
+`)
+	got, err := combineShares(program, loadgen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"cpu.servent_http": 0.3, "cpu.xml": 0.2, "cpu.loadgen": 0.5, "cpu.syscall": 0, "cpu.other": 0}
+	for name, v := range want {
+		if math.Abs(got[name]-v) > 1e-12 {
+			t.Errorf("%s = %v, want %v", name, got[name], v)
+		}
+	}
+	empty := []byte("TagFocus expression matched no samples\nType: cpu\nShowing nodes accounting for 0, 0% of 100ms total\n      flat  flat%   sum%        cum   cum%\n")
+	got, err = combineShares(program, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["cpu.loadgen"] != 1.0/6 || got["cpu.servent_http"] != 0.5 {
+		t.Errorf("with no load generator samples: loadgen %v, servent_http %v", got["cpu.loadgen"], got["cpu.servent_http"])
 	}
 }

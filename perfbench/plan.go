@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/url"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/stylegen"
 	"repro/internal/xmldoc"
 )
 
@@ -81,22 +79,44 @@ var filterAttrs = map[string][]string{
 	"species":        {"kingdom", "family", "habitat", "conservationStatus"},
 }
 
+// holding is one peer's copy of an object, stamped with the truth
+// clock's reading when the peer got it.
+type holding struct {
+	peer int
+	at   int64
+}
+
 // docTruth is driver-side ground truth for one published object.
 type docTruth struct {
 	comm    string
 	attrs   query.Attrs
-	holders []int
+	holders []holding
+}
+
+func (d *docTruth) holds(peer int) bool {
+	for _, h := range d.holders {
+		if h.peer == peer {
+			return true
+		}
+	}
+	return false
 }
 
 // truth is the driver's ground truth: every object it published or
-// replicated and who holds a copy, in publication order.
+// replicated, who holds a copy and since when, and when each departed
+// peer left. Its clock ticks on every change, so what a search should
+// have found can be worked out after the timed phase from the clock's
+// reading when the search was issued.
 type truth struct {
 	docs   map[index.DocID]*docTruth
 	byComm map[string][]index.DocID
+	now    int64
+	// left maps a departed peer to the clock reading when it left.
+	left map[int]int64
 }
 
 func newTruth() *truth {
-	return &truth{docs: make(map[index.DocID]*docTruth), byComm: make(map[string][]index.DocID)}
+	return &truth{docs: make(map[index.DocID]*docTruth), byComm: make(map[string][]index.DocID), left: make(map[int]int64)}
 }
 
 // add records that peer holds doc.
@@ -107,22 +127,29 @@ func (t *truth) add(doc *index.Document, peer int) {
 		t.docs[doc.ID] = d
 		t.byComm[doc.CommunityID] = append(t.byComm[doc.CommunityID], doc.ID)
 	}
-	if !slices.Contains(d.holders, peer) {
-		d.holders = append(d.holders, peer)
+	if !d.holds(peer) {
+		t.now++
+		d.holders = append(d.holders, holding{peer: peer, at: t.now})
 	}
 }
 
-// expected returns the documents of community comm matching f that a
-// live peer holds.
-func (t *truth) expected(comm string, f query.Filter, alive func(int) bool) map[index.DocID]bool {
+// depart records that peer left the overlay.
+func (t *truth) depart(peer int) {
+	t.now++
+	t.left[peer] = t.now
+}
+
+// expected returns the documents of community comm matching f that
+// some peer held, and had not left, at clock reading at.
+func (t *truth) expected(comm string, f query.Filter, at int64) map[index.DocID]bool {
 	out := make(map[index.DocID]bool)
 	for _, id := range t.byComm[comm] {
 		d := t.docs[id]
 		if !f.Match(d.attrs) {
 			continue
 		}
-		for _, p := range d.holders {
-			if alive(p) {
+		for _, h := range d.holders {
+			if left := t.left[h.peer]; h.at <= at && (left == 0 || left > at) {
 				out[id] = true
 				break
 			}
@@ -152,9 +179,6 @@ func (t *truth) searchValues(rng *rand.Rand, comm, corpusName string) url.Values
 	vs := d.attrs[a]
 	return url.Values{a: {vs[rng.Intn(len(vs))]}}
 }
-
-// formFilter is the filter the servent builds from search-form values.
-func formFilter(v url.Values) query.Filter { return stylegen.BuildFilter(v) }
 
 // recall is the share of want found in got; 1 when nothing was
 // expected.

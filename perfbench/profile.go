@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"os/exec"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 )
@@ -31,6 +33,7 @@ var cpuBuckets = []struct {
 	{"cpu.sim", []string{"repro/internal/sim."}},
 	{"cpu.metrics", []string{"repro/internal/metrics.", "runtime/metrics."}},
 	{"cpu.trace", []string{"repro/internal/trace."}},
+	// Unlabelled benchmark code: the traced run's layer wrappers.
 	{"cpu.loadgen", []string{"main."}},
 	{"cpu.syscall", []string{"syscall.", "internal/poll.", "internal/runtime/syscall.", "runtime.futex",
 		"runtime.netpoll", "runtime.epollwait", "runtime.write1", "runtime.read", "runtime.usleep",
@@ -77,25 +80,80 @@ func bucketOf(fn string) string {
 	return "cpu.other"
 }
 
-// cpuShares aggregates a CPU profile's self time into the layer
-// buckets with `go tool pprof -top`, which ships with the toolchain.
-// Each share is that bucket's fraction of all sampled CPU.
-func cpuShares(profile string) (map[string]float64, error) {
-	out, err := exec.Command("go", "tool", "pprof", "-top", "-nodecount=1000000", "-nodefraction=0", "-unit=ms", profile).Output()
-	if err != nil {
-		return nil, fmt.Errorf("go tool pprof: %w", err)
-	}
-	return parsePprofTop(out)
+// loadgenCtx carries the profiler label of the benchmark's own work:
+// the tcp-mix clients (and the HTTP transport goroutines they start)
+// and the sims' driver events. The traced run's CPU profile counts
+// samples under it as cpu.loadgen, whatever package they are in.
+var loadgenCtx = pprof.WithLabels(context.Background(), pprof.Labels("role", "loadgen"))
+
+// sut runs fn, a call from driver code into the program under test,
+// without the load generator's label.
+func sut(fn func()) {
+	pprof.SetGoroutineLabels(context.Background())
+	defer pprof.SetGoroutineLabels(loadgenCtx)
+	fn()
 }
 
-// parsePprofTop reads `pprof -top -unit=ms` output: after the header
-// line, each row is "flat flat% sum% cum cum% function".
-func parsePprofTop(out []byte) (map[string]float64, error) {
-	shares := make(map[string]float64)
-	for _, name := range cpuBucketNames() {
-		shares[name] = 0
+// cpuShares aggregates a CPU profile's self time into the layer
+// buckets with `go tool pprof -top`, which ships with the toolchain.
+// Samples labelled as the load generator's all count as cpu.loadgen;
+// the rest are bucketed by function. Each share is that bucket's
+// fraction of all sampled CPU.
+func cpuShares(profile string) (map[string]float64, error) {
+	program, err := pprofTop(profile, "-tagignore=role=loadgen")
+	if err != nil {
+		return nil, err
+	}
+	loadgen, err := pprofTop(profile, "-tagfocus=role=loadgen")
+	if err != nil {
+		return nil, err
+	}
+	return combineShares(program, loadgen)
+}
+
+func pprofTop(profile, tagFilter string) ([]byte, error) {
+	out, err := exec.Command("go", "tool", "pprof", "-top", "-nodecount=1000000", "-nodefraction=0", "-unit=ms",
+		tagFilter, profile).CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("go tool pprof %s: %w: %s", tagFilter, err, out)
+	}
+	return out, nil
+}
+
+// combineShares turns the `pprof -top` tables of the program's
+// samples and of the load generator's into shares of all samples.
+func combineShares(program, loadgen []byte) (map[string]float64, error) {
+	ms, err := parsePprofTop(program)
+	if err != nil {
+		return nil, err
+	}
+	lg, err := parsePprofTop(loadgen)
+	if err != nil {
+		return nil, err
 	}
 	total := 0.0
+	for _, v := range lg {
+		ms["cpu.loadgen"] += v
+	}
+	for _, v := range ms {
+		total += v
+	}
+	for k, v := range ms {
+		ms[k] = div(v, total)
+	}
+	return ms, nil
+}
+
+// parsePprofTop reads `pprof -top -unit=ms` output, where after the
+// header line each row is "flat flat% sum% cum cum% function", and
+// returns the flat milliseconds of each bucket. A table with no rows,
+// which pprof prints when a tag filter matches no sample, reads as
+// zero everywhere.
+func parsePprofTop(out []byte) (map[string]float64, error) {
+	ms := make(map[string]float64)
+	for _, name := range cpuBucketNames() {
+		ms[name] = 0
+	}
 	inRows := false
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	for sc.Scan() {
@@ -111,14 +169,10 @@ func parsePprofTop(out []byte) (map[string]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pprof row %q: %w", sc.Text(), err)
 		}
-		shares[bucketOf(fields[5])] += flat
-		total += flat
+		ms[bucketOf(fields[5])] += flat
 	}
-	if !inRows {
-		return nil, fmt.Errorf("pprof output has no table")
+	if !inRows && !bytes.Contains(out, []byte("Type: cpu")) {
+		return nil, fmt.Errorf("pprof output has no table: %.200s", out)
 	}
-	for k, v := range shares {
-		shares[k] = div(v, total)
-	}
-	return shares, nil
+	return ms, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime/pprof"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/sim"
+	"repro/internal/stylegen"
 )
 
 // simWorkload is a simulated overlay on a virtual clock: a seeded
@@ -27,21 +29,18 @@ type simWorkload struct {
 	perComm int
 	// joinPer is how many communities each initial peer joins.
 	joinPer int
-	// mix is the share of each operation class in the driver's stream;
-	// a retrieve is always followed by a view of the fetched object.
-	mix [numClasses]float64
-	// rate is the operation stream's mean rate per virtual second.
-	rate float64
-	// arrivalRate and departureRate are churn rates per virtual
-	// second; each arrival joins one community and publishes one
-	// fresh object, timed as a publish.
-	arrivalRate, departureRate float64
-	refreshEvery               time.Duration
+	// churn makes every publish the first act of a newly arrived peer,
+	// which joins one community and publishes one fresh object into
+	// it, and departs peers at the same mean rate as they arrive.
+	churn        bool
+	refreshEvery time.Duration
 }
 
 const (
 	simLatency = 20 * time.Millisecond
 	simJitter  = 10 * time.Millisecond
+	// simOpsPerVirtualSecond is the operation stream's mean rate.
+	simOpsPerVirtualSecond = 10
 )
 
 // simPass is one seeded build and run of a simWorkload.
@@ -55,12 +54,15 @@ type simPass struct {
 	members [][]int
 	fresh   []int
 	t       *truth
-	rng     *rand.Rand
-	st      *spanStore
-	parent  int64
-	nextOp  int64
-	res     *passResult
-	err     error
+	// checks are the timed searches and discovers, scored against the
+	// ground truth once the timed phase is over.
+	checks []recallCheck
+	rng    *rand.Rand
+	st     *spanStore
+	parent int64
+	nextOp int64
+	res    *passResult
+	err    error
 
 	timing bool
 	done   bool
@@ -73,6 +75,15 @@ type simPass struct {
 	start  resources
 	before *metrics.Snapshot
 	acc    simLayer
+}
+
+// recallCheck is one search's question, the truth clock's reading
+// when it was asked, and its answer.
+type recallCheck struct {
+	comm string
+	f    query.Filter
+	at   int64
+	got  []p2p.Result
 }
 
 // simLayer accumulates the per-layer counts of a pass's timed phase.
@@ -211,13 +222,15 @@ func (p *simPass) setup(seed int64) error {
 // stream issues warmup untimed units then ops timed ones; a unit is
 // one operation, or a retrieve and the view that follows it. Every
 // operation the driver decides on during the timed phase is counted
-// as planned before it runs.
+// as planned before it runs. Each event is driver code, labelled as
+// the load generator's in the CPU profile; its calls into the
+// cluster go through sut.
 func (p *simPass) schedule(ops, warmup int) {
 	w := p.w
 	total := warmup + ops
 	issued := 0
 	var fire func(time.Time)
-	fire = func(time.Time) {
+	fire = p.event(func() {
 		if p.err != nil {
 			return
 		}
@@ -230,20 +243,23 @@ func (p *simPass) schedule(ops, warmup int) {
 			p.endTimed()
 			return
 		}
-		p.clk.Schedule(p.gap(w.rate), fire)
+		p.clk.Schedule(p.gap(simOpsPerVirtualSecond), fire)
+	})
+	p.clk.Schedule(p.gap(simOpsPerVirtualSecond), fire)
+	if w.churn {
+		p.poisson(simOpsPerVirtualSecond*opMix[opPublish], p.departure)
 	}
-	p.clk.Schedule(p.gap(w.rate), fire)
-	p.poisson(w.arrivalRate, p.arrival)
-	p.poisson(w.departureRate, p.departure)
 	if w.refreshEvery > 0 && w.proto == sim.DHT {
 		var refresh func(time.Time)
-		refresh = func(time.Time) {
+		refresh = p.event(func() {
 			if p.done || p.err != nil {
 				return
 			}
 			id := p.st.begin("sim.RefreshDHT", 0, p.parent)
 			t0 := time.Now()
-			n, err := p.c.RefreshDHT()
+			var n int
+			var err error
+			sut(func() { n, err = p.c.RefreshDHT() })
 			if p.timing {
 				p.acc.refreshWall += time.Since(t0)
 				p.acc.refreshed += n
@@ -255,8 +271,18 @@ func (p *simPass) schedule(ops, warmup int) {
 				return
 			}
 			p.clk.Schedule(w.refreshEvery, refresh)
-		}
+		})
 		p.clk.Schedule(w.refreshEvery, refresh)
+	}
+}
+
+// event wraps a driver event so that it runs labelled as the load
+// generator's.
+func (p *simPass) event(fn func()) func(time.Time) {
+	return func(time.Time) {
+		pprof.SetGoroutineLabels(loadgenCtx)
+		defer pprof.SetGoroutineLabels(context.Background())
+		fn()
 	}
 }
 
@@ -265,17 +291,14 @@ func (p *simPass) gap(rate float64) time.Duration {
 }
 
 func (p *simPass) poisson(rate float64, fn func()) {
-	if rate <= 0 {
-		return
-	}
 	var fire func(time.Time)
-	fire = func(time.Time) {
+	fire = p.event(func() {
 		if p.done || p.err != nil {
 			return
 		}
 		fn()
 		p.clk.Schedule(p.gap(rate), fire)
-	}
+	})
 	p.clk.Schedule(p.gap(rate), fire)
 }
 
@@ -294,6 +317,8 @@ func (p *simPass) startTimed() {
 	p.start = readResources()
 }
 
+// endTimed closes the timed phase, then scores its searches against
+// the ground truth, outside the measured window.
 func (p *simPass) endTimed() {
 	p.res.ph = since(p.start)
 	if p.stopProfile != nil {
@@ -306,6 +331,10 @@ func (p *simPass) endTimed() {
 	p.res.msgs = d.Counter("transport.msgs_delivered")
 	p.res.bytes = d.Counter("transport.bytes_delivered")
 	p.res.delta = d
+	for _, c := range p.checks {
+		p.res.recall = append(p.res.recall, recall(p.t.expected(c.comm, c.f, c.at), resultIDs(c.got)))
+	}
+	p.checks = nil
 }
 
 // runUnit issues one draw from the operation mix.
@@ -313,16 +342,20 @@ func (p *simPass) runUnit() {
 	r := p.rng.Float64()
 	if p.timing {
 		p.res.planned++
-		if r >= p.w.mix[opSearch]+p.w.mix[opDiscover]+p.w.mix[opPublish] {
+		if r >= opMix[opSearch]+opMix[opDiscover]+opMix[opPublish] {
 			p.res.planned++ // the view after the retrieve
 		}
 	}
 	switch {
-	case r < p.w.mix[opSearch]:
+	case r < opMix[opSearch]:
 		p.search()
-	case r < p.w.mix[opSearch]+p.w.mix[opDiscover]:
+	case r < opMix[opSearch]+opMix[opDiscover]:
 		p.discover()
-	case r < p.w.mix[opSearch]+p.w.mix[opDiscover]+p.w.mix[opPublish]:
+	case r < opMix[opSearch]+opMix[opDiscover]+opMix[opPublish]:
+		if p.w.churn {
+			p.arrival()
+			return
+		}
 		ci := p.rng.Intn(len(p.comms))
 		p.publish(p.liveMember(ci), ci)
 	default:
@@ -330,18 +363,27 @@ func (p *simPass) runUnit() {
 	}
 }
 
+// liveMember draws a live member of community ci; its creator never
+// departs, so there always is one.
 func (p *simPass) liveMember(ci int) int {
-	var live []int
-	for _, m := range p.members[ci] {
-		if p.c.Alive(m) {
-			live = append(live, m)
+	for {
+		if m := p.members[ci][p.rng.Intn(len(p.members[ci]))]; p.c.Alive(m) {
+			return m
 		}
 	}
-	return live[p.rng.Intn(len(live))] // the creator never departs
+}
+
+// livePeer draws a live peer of the cluster.
+func (p *simPass) livePeer() int {
+	for {
+		if i := p.rng.Intn(len(p.c.Servents)); p.c.Alive(i) {
+			return i
+		}
+	}
 }
 
 // op brackets one timed operation: a span, its wall time, and its
-// outcome in the pass's counts.
+// outcome in the pass's counts. fn is the call into the cluster.
 func (p *simPass) op(class opClass, fn func() error) {
 	if p.timing && (class == opPublish || class == opRetrieve) {
 		f0 := p.fanout.Value()
@@ -352,8 +394,9 @@ func (p *simPass) op(class opClass, fn func() error) {
 	}
 	p.nextOp++
 	id := p.st.begin("op."+class.String(), p.nextOp, p.parent)
+	var err error
 	t0 := time.Now()
-	err := fn()
+	sut(func() { err = fn() })
 	lat := time.Since(t0)
 	p.st.end(id)
 	if !p.timing {
@@ -374,9 +417,7 @@ func (p *simPass) search() {
 	ci := p.rng.Intn(len(p.comms))
 	from := p.liveMember(ci)
 	comm := p.comms[ci].ID
-	vals := p.t.searchValues(p.rng, comm, p.plans[ci].corpus)
-	f := formFilter(vals)
-	want := p.t.expected(comm, f, p.c.Alive)
+	f := stylegen.BuildFilter(p.t.searchValues(p.rng, comm, p.plans[ci].corpus))
 	m0, l0, r0, c0 := p.msgs.Value(), p.lookups.Value(), p.rounds.Value(), p.contacted.Value()
 	p.c.Net.ResetPath()
 	var rs []p2p.Result
@@ -395,15 +436,13 @@ func (p *simPass) search() {
 	p.acc.contacted += p.contacted.Value() - c0
 	p.acc.searchResults += int64(len(rs))
 	p.acc.vsearch = append(p.acc.vsearch, ms(p.c.Net.MaxPathLatency()))
-	p.res.recall = append(p.res.recall, recall(want, resultIDs(rs)))
+	p.checks = append(p.checks, recallCheck{comm: comm, f: f, at: p.t.now, got: rs})
 }
 
 func (p *simPass) discover() {
 	ci := p.rng.Intn(len(p.comms))
-	live := p.c.LivePeers()
-	from := live[p.rng.Intn(len(live))]
+	from := p.livePeer()
 	f := query.MustParse("(name=" + p.plans[ci].spec.Name + ")")
-	want := p.t.expected(core.RootCommunityID, f, p.c.Alive)
 	var rs []p2p.Result
 	p.op(opDiscover, func() error {
 		var err error
@@ -411,7 +450,7 @@ func (p *simPass) discover() {
 		return err
 	})
 	if p.timing {
-		p.res.recall = append(p.res.recall, recall(want, resultIDs(rs)))
+		p.checks = append(p.checks, recallCheck{comm: core.RootCommunityID, f: f, at: p.t.now, got: rs})
 	}
 }
 
@@ -421,56 +460,49 @@ func (p *simPass) publish(peer, ci int) {
 	obj := pl.fresh[p.fresh[ci]%len(pl.fresh)]
 	p.fresh[ci]++
 	sv := p.c.Servents[peer]
+	var doc *index.Document
 	p.op(opPublish, func() error {
 		id, err := sv.Publish(p.comms[ci].ID, obj.Doc.Clone(), nil)
 		if err != nil {
 			return err
 		}
-		doc, err := sv.Store().Get(id)
-		if err != nil {
-			return err
-		}
-		p.t.add(doc, peer)
-		return nil
+		doc, err = sv.Store().Get(id)
+		return err
 	})
+	if doc != nil {
+		p.t.add(doc, peer)
+	}
 }
 
-// retrieveAndView fetches a seeded object from a live holder onto a
+// retrieveAndView fetches an object from a live holder onto a live
 // member that lacks it, then renders it there.
 func (p *simPass) retrieveAndView() {
 	ci := p.rng.Intn(len(p.comms))
 	ids := p.t.byComm[p.comms[ci].ID]
-	var (
-		id       index.DocID
-		provider = -1
-		target   = -1
-	)
-	for provider < 0 || target < 0 {
+	var id index.DocID
+	var provider, target int
+	for {
 		id = ids[p.rng.Intn(len(ids))]
 		d := p.t.docs[id]
-		var live []int
-		for _, h := range d.holders {
-			if p.c.Alive(h) {
-				live = append(live, h)
-			}
-		}
-		if len(live) == 0 {
+		h := d.holders[p.rng.Intn(len(d.holders))]
+		if !p.c.Alive(h.peer) {
 			continue
 		}
-		provider = live[p.rng.Intn(len(live))]
-		if m := p.liveMember(ci); !slices.Contains(d.holders, m) {
-			target = m
+		if m := p.liveMember(ci); !d.holds(m) {
+			provider, target = h.peer, m
+			break
 		}
 	}
 	sv := p.c.Servents[target]
+	var doc *index.Document
 	p.op(opRetrieve, func() error {
-		doc, err := sv.Retrieve(id, p.c.Servents[provider].PeerID())
-		if err != nil {
-			return err
-		}
-		p.t.add(doc, target)
-		return nil
+		var err error
+		doc, err = sv.Retrieve(id, p.c.Servents[provider].PeerID())
+		return err
 	})
+	if doc != nil {
+		p.t.add(doc, target)
+	}
 	p.op(opView, func() error {
 		out, err := sv.View(id)
 		if err == nil && out == "" {
@@ -481,11 +513,13 @@ func (p *simPass) retrieveAndView() {
 }
 
 // arrival adds a peer that joins one community and publishes one
-// fresh object into it.
+// fresh object into it; the publish is the timed operation.
 func (p *simPass) arrival() {
 	id := p.st.begin("sim.AddPeer", 0, p.parent)
 	t0 := time.Now()
-	peer, err := p.c.AddPeer()
+	var peer int
+	var err error
+	sut(func() { peer, err = p.c.AddPeer() })
 	if p.timing {
 		p.acc.joinWall += time.Since(t0)
 		p.acc.joins++
@@ -496,27 +530,25 @@ func (p *simPass) arrival() {
 		return
 	}
 	ci := p.rng.Intn(len(p.comms))
-	if err := p.c.Servents[peer].AdoptCommunity(p.comms[ci]); err != nil {
+	sut(func() { err = p.c.Servents[peer].AdoptCommunity(p.comms[ci]) })
+	if err != nil {
 		p.err = err
 		return
 	}
 	p.members[ci] = append(p.members[ci], peer)
-	if p.timing {
-		p.res.planned++
-	}
 	p.publish(peer, ci)
 }
 
 // departure kills a random live peer other than a community creator.
 func (p *simPass) departure() {
-	live := p.c.LivePeers()
-	victim := live[p.rng.Intn(len(live))]
+	victim := p.livePeer()
 	if victim < len(p.comms) {
 		return
 	}
 	id := p.st.begin("sim.KillPeer", 0, p.parent)
-	p.c.KillPeer(victim)
+	sut(func() { p.c.KillPeer(victim) })
 	p.st.end(id)
+	p.t.depart(victim)
 }
 
 func resultIDs(rs []p2p.Result) []index.DocID {

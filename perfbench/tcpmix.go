@@ -8,7 +8,7 @@ import (
 	"net/url"
 	"os"
 	"regexp"
-	"slices"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +18,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/p2p"
 	"repro/internal/query"
+	"repro/internal/stylegen"
 )
 
 // tcpWorkload is the deployed path: a fleet of DHT servents over
@@ -26,9 +27,6 @@ import (
 // time.
 type tcpWorkload struct {
 	nodes, comms, perComm int
-	// mix is the share of each draw: search, discover, publish (a
-	// /create) and retrieve (a /retrieve followed by a /view).
-	mix [numClasses]float64
 }
 
 const tcpClients = 2
@@ -195,7 +193,7 @@ func (w *tcpWorkload) checkSeeded(f *fleet, comms []*core.Community, t *truth) e
 		if err != nil {
 			return fmt.Errorf("seeded recall check: %w", err)
 		}
-		want := t.expected(comm.ID, query.MatchAll{}, func(int) bool { return true })
+		want := t.expected(comm.ID, query.MatchAll{}, t.now)
 		if r := recall(want, resultIDs(rs)); r < 1 {
 			return fmt.Errorf("%w: community %s recall %.3f on the quiet fleet", errGate, comm.Name, r)
 		}
@@ -214,7 +212,6 @@ func (w *tcpWorkload) plan(rng *rand.Rand, plans []commPlan, comms []*core.Commu
 		nextID  int64
 		fresh   = make([]int, len(plans))
 		fetched = make(map[string]bool)
-		all     = func(int) bool { return true }
 	)
 	op := func(o httpOp) httpOp {
 		nextID++
@@ -227,19 +224,19 @@ func (w *tcpWorkload) plan(rng *rand.Rand, plans []commPlan, comms []*core.Commu
 		comm := comms[ci]
 		r := rng.Float64()
 		switch {
-		case r < w.mix[opSearch]:
+		case r < opMix[opSearch]:
 			vals := t.searchValues(rng, comm.ID, plans[ci].corpus)
-			want := t.expected(comm.ID, formFilter(vals), all)
+			want := t.expected(comm.ID, stylegen.BuildFilter(vals), t.now)
 			vals.Set("community", comm.ID)
 			units = append(units, []httpOp{op(httpOp{class: opSearch, server: server, method: http.MethodGet,
 				target: "/search?" + vals.Encode(), status: http.StatusOK, want: want})})
-		case r < w.mix[opSearch]+w.mix[opDiscover]:
+		case r < opMix[opSearch]+opMix[opDiscover]:
 			name := plans[ci].spec.Name
 			f := &query.Assertion{Attr: "name", Op: query.OpContains, Value: name}
 			units = append(units, []httpOp{op(httpOp{class: opDiscover, server: server, method: http.MethodGet,
 				target: "/discover?" + url.Values{"name": {name}}.Encode(), status: http.StatusOK,
-				want: t.expected(core.RootCommunityID, f, all)})})
-		case r < w.mix[opSearch]+w.mix[opDiscover]+w.mix[opPublish]:
+				want: t.expected(core.RootCommunityID, f, t.now)})})
+		case r < opMix[opSearch]+opMix[opDiscover]+opMix[opPublish]:
 			pl := plans[ci]
 			obj := pl.fresh[fresh[ci]%len(pl.fresh)]
 			fresh[ci]++
@@ -249,9 +246,9 @@ func (w *tcpWorkload) plan(rng *rand.Rand, plans []commPlan, comms []*core.Commu
 		default:
 			ids := t.byComm[comm.ID]
 			id := ids[rng.Intn(len(ids))]
-			provider := t.docs[id].holders[0]
+			provider := t.docs[id].holders[0].peer
 			key := string(id) + "@" + strconv.Itoa(server)
-			if fetched[key] || slices.Contains(t.docs[id].holders, server) {
+			if fetched[key] || t.docs[id].holds(server) {
 				continue // redraw: the node must lack the object
 			}
 			fetched[key] = true
@@ -304,6 +301,9 @@ func runClients(addr string, units [][]httpOp, st *spanStore) *clientResult {
 		wg.Add(1)
 		go func(res *clientResult) {
 			defer wg.Done()
+			// The client's goroutines, and the HTTP transport's that
+			// it starts, are the load generator's.
+			pprof.SetGoroutineLabels(loadgenCtx)
 			runClient(addr, mine, st, res)
 		}(&results[k])
 	}
