@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet bench-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly ci
+.PHONY: build test race fmt vet bench-smoke determinism sim-smoke hotspot-smoke ops-smoke crash-smoke trace-smoke profile-smoke scale-smoke tcp-nightly fuzz-smoke perfbench-selftest ci
 
 build:
 	$(GO) build ./...
@@ -95,4 +95,15 @@ tcp-nightly:
 crash-smoke:
 	$(GO) test -race -count=1 -run 'WAL|Crash|Poisoned|ConsistentCut|CorruptMiddle' ./internal/index ./internal/core
 
-ci: build fmt vet test race bench-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke
+# Fuzz the TCP frame envelope and read loop for a short, fixed time
+# beyond the committed seed corpus that `make test` replays.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzTCPEnvelope -fuzztime 20s ./internal/transport
+
+# The benchmark lives in its own module (perfbench/, `replace repro =>
+# ../`), which `go test ./...` does not build; its self-test catches a
+# transport or protocol API change that would break the benchmark.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
+
+ci: build fmt vet test race bench-smoke determinism sim-smoke hotspot-smoke ops-smoke trace-smoke profile-smoke crash-smoke scale-smoke fuzz-smoke perfbench-selftest

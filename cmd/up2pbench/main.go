@@ -57,8 +57,6 @@ func run() error {
 			"E13-E15: DHT lookup parallelism")
 		e13Peers = flag.Int("e13-max-peers", bench.DHTBenchConfig.E13MaxPeers,
 			"E13: cap on the population ladder")
-		wireCodec = flag.String("codec", bench.DHTBenchConfig.Codec,
-			"E13-E15: wire codec for cluster frames (binary|json)")
 		// E16 (flash-crowd hot key) knobs.
 		e16Peers = flag.Int("e16-peers", bench.HotspotBenchConfig.Peers,
 			"E16: DHT population under the flash crowd")
@@ -84,7 +82,6 @@ func run() error {
 	bench.DHTBenchConfig.K = *dhtK
 	bench.DHTBenchConfig.Alpha = *dhtAlpha
 	bench.DHTBenchConfig.E13MaxPeers = *e13Peers
-	bench.DHTBenchConfig.Codec = *wireCodec
 	bench.HotspotBenchConfig.Peers = *e16Peers
 	bench.HotspotBenchConfig.Burst = *e16Burst
 	bench.HotspotBenchConfig.SplitThreshold = *e16Split

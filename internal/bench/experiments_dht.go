@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/p2p"
-	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/sim"
 )
@@ -25,12 +24,7 @@ var DHTBenchConfig = struct {
 	// E13MaxPeers caps the E13 population ladder (the ladder keeps
 	// its shape; rungs above the cap are skipped).
 	E13MaxPeers int
-	// Codec selects the wire codec of every E13–E15 cluster: "binary"
-	// (default) or "json". Switching codecs changes allocation cost,
-	// never results — the sim package's codec-equivalence test pins
-	// that.
-	Codec string
-}{K: 16, Alpha: 3, E13MaxPeers: 10000, Codec: "binary"}
+}{K: 16, Alpha: 3, E13MaxPeers: 10000}
 
 // dhtScenarioCluster builds the cluster config shared by the DHT rows
 // of E14/E15.
@@ -42,7 +36,6 @@ func dhtScenarioCluster(peers int, proto sim.Protocol) sim.Config {
 		Seed:     ScenarioBenchConfig.Seed,
 		DHTK:     DHTBenchConfig.K,
 		DHTAlpha: DHTBenchConfig.Alpha,
-		Codec:    codec.ByName(DHTBenchConfig.Codec),
 	}
 }
 
@@ -67,7 +60,7 @@ func RunE13() (Table, error) {
 			"iterative lookup waves toward the community key, k replicas answering);",
 			"hops: flood depth where hits sat vs DHT lookup rounds;",
 			"allocs/msg: heap allocations per delivered message over the query phase",
-			"(process-wide Mallocs delta — rerun with -codec json for the JSON baseline);",
+			"(process-wide Mallocs delta);",
 			"live heap MB: post-GC heap holding the whole cluster after the run",
 		},
 	}

@@ -157,69 +157,69 @@ type Record struct {
 // --- wire payloads ---
 
 type pingPayload struct {
-	ReqID uint64 `json:"reqId"`
+	ReqID uint64
 }
 
 type findNodePayload struct {
-	ReqID  uint64 `json:"reqId"`
-	Target ID     `json:"target"`
+	ReqID  uint64
+	Target ID
 }
 
 type findNodeReplyPayload struct {
-	ReqID uint64             `json:"reqId"`
-	Peers []transport.PeerID `json:"peers"`
+	ReqID uint64
+	Peers []transport.PeerID
 }
 
 type findValuePayload struct {
-	ReqID uint64 `json:"reqId"`
-	Key   ID     `json:"key"`
+	ReqID uint64
+	Key   ID
 	// CommunityID/Filter/Limit let the holder evaluate the query
 	// server-side, so only matching records travel back.
-	CommunityID string `json:"communityId"`
-	Filter      string `json:"filter"`
-	Limit       int    `json:"limit"`
+	CommunityID string
+	Filter      string
+	Limit       int
 }
 
 type findValueReplyPayload struct {
-	ReqID   uint64             `json:"reqId"`
-	Records []Record           `json:"records,omitempty"`
-	Peers   []transport.PeerID `json:"peers"`
+	ReqID   uint64
+	Records []Record
+	Peers   []transport.PeerID
 	// Split, when positive, advertises that the responder has split
 	// this key into that many attribute-hash sub-keys; the querier
 	// fans its lookup into them and merges the results.
-	Split int `json:"split,omitempty"`
+	Split int
 	// Complete marks records served from a cached copy for exactly the
 	// query's filter — a complete result set by construction (only
 	// full, unlimited sets are ever cache-STOREd). A value-terminating
 	// lookup may stop on a Complete reply without losing recall;
 	// ordinary holder replies carry no such guarantee (a record set,
 	// unlike Kademlia's atomic values, can be partially replicated).
-	Complete bool `json:"complete,omitempty"`
+	Complete bool
 }
 
 type storePayload struct {
-	Key     ID       `json:"key"`
-	Records []Record `json:"records"`
+	Key     ID
+	Records []Record
 	// Cached marks a caching STORE from a FIND_VALUE querier: the
 	// holder keeps the records with a halved TTL, tagged with Filter,
 	// and never lets them displace primary replicas. Cached records
 	// carry third-party providers, so the provider==sender provenance
 	// rule is relaxed for them — the copies are short-lived and
 	// age out first by construction.
-	Cached bool `json:"cached,omitempty"`
+	Cached bool
 	// Filter is the canonical filter string a cached record set is
 	// complete for; holders serve cached entries only to queries
 	// carrying the identical filter, so a cache never truncates the
 	// result set of a different query.
-	Filter string `json:"filter,omitempty"`
+	Filter string
 	// Split marks a hot-key migration STORE: a holder redistributing
 	// its records into a sub-key's neighborhood. Like Cached it
 	// relays third-party providers, so provenance is relaxed.
-	Split bool `json:"split,omitempty"`
+	Split bool
 }
 
 type unstorePayload struct {
-	Key      ID               `json:"key"`
-	DocID    index.DocID      `json:"docId"`
-	Provider transport.PeerID `json:"provider"`
+	Key      ID
+	DocID    index.DocID
+	Provider transport.PeerID
 }

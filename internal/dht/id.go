@@ -3,7 +3,6 @@ package dht
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"hash/fnv"
 	"strconv"
 
@@ -131,20 +130,3 @@ func CompareDistance(a, b, target ID) int {
 
 // String renders the ID as hex.
 func (a ID) String() string { return hex.EncodeToString(a[:]) }
-
-// MarshalText implements encoding.TextMarshaler so IDs travel as hex
-// strings inside JSON wire payloads.
-func (a ID) MarshalText() ([]byte, error) {
-	out := make([]byte, hex.EncodedLen(len(a)))
-	hex.Encode(out, a[:])
-	return out, nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (a *ID) UnmarshalText(text []byte) error {
-	if hex.DecodedLen(len(text)) != IDBytes {
-		return fmt.Errorf("dht: bad ID length %d", len(text))
-	}
-	_, err := hex.Decode(a[:], text)
-	return err
-}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/p2p"
+	"repro/internal/p2p/codec"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -307,7 +308,7 @@ func (n *Node) sendLookupRPC(to transport.PeerID, reqID uint64, target ID, vq *v
 	var payload []byte
 	if vq != nil {
 		typ = MsgFindValue
-		payload = n.cdc.Encode(&findValuePayload{
+		payload = codec.Encode(&findValuePayload{
 			ReqID:       reqID,
 			Key:         target,
 			CommunityID: vq.communityID,
@@ -316,7 +317,7 @@ func (n *Node) sendLookupRPC(to transport.PeerID, reqID uint64, target ID, vq *v
 		})
 	} else {
 		typ = MsgFindNode
-		payload = n.cdc.Encode(&findNodePayload{ReqID: reqID, Target: target})
+		payload = codec.Encode(&findNodePayload{ReqID: reqID, Target: target})
 	}
 	err := n.ep.Send(transport.Message{
 		To:      to,

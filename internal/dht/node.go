@@ -34,7 +34,6 @@ type Node struct {
 	records *recordStore
 	pending *p2p.PendingTable
 	clk     dsim.Clock
-	cdc     codec.Codec
 
 	mu     sync.RWMutex
 	attach p2p.AttachmentProvider
@@ -86,7 +85,6 @@ func NewNode(ep transport.Endpoint, store *index.Store, cfg Config) *Node {
 		records:      newRecordStore(cfg.RecordTTL, cfg.MaxRecordsPerKey),
 		pending:      p2p.NewPendingTable(),
 		clk:          dsim.Wall,
-		cdc:          codec.Default,
 		lastAnnounce: make(map[ID]announceState),
 	}
 	n.SetMetrics(metrics.NewRegistry())
@@ -144,15 +142,6 @@ func (n *Node) ID() ID { return n.self }
 func (n *Node) SetClock(clk dsim.Clock) {
 	if clk != nil {
 		n.clk = clk
-	}
-}
-
-// SetCodec installs the wire codec for this node's frames (default
-// codec.Default). Like SetClock, call before traffic starts; every
-// node in a deployment must agree on the codec.
-func (n *Node) SetCodec(cd codec.Codec) {
-	if cd != nil {
-		n.cdc = cd
 	}
 }
 
@@ -314,7 +303,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 			end = len(recs)
 		}
 		chunk := storePayload{Key: key, Records: recs[start:end], Split: split}
-		payloads = append(payloads, n.cdc.Encode(&chunk))
+		payloads = append(payloads, codec.Encode(&chunk))
 	}
 	for _, t := range targets {
 		sp := n.tr().Start(tctx, "store")
@@ -347,7 +336,7 @@ func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, recs []Rec
 	sp.SetPeer(string(target.Peer))
 	sctx := sp.ContextOr(tctx)
 	frame := storePayload{Key: key, Records: recs, Cached: true, Filter: filter}
-	payload := n.cdc.Encode(&frame)
+	payload := codec.Encode(&frame)
 	err := n.ep.Send(transport.Message{To: target.Peer, Type: MsgStore, Payload: payload,
 		TraceID: sctx.Trace, SpanID: sctx.Span})
 	sp.AddMsgs(1, int64(len(payload)))
@@ -437,7 +426,7 @@ func (n *Node) unstore(tctx trace.Context, key ID, id index.DocID) {
 	out := n.lookup(tctx, key, nil)
 	n.records.remove(key, id, n.ep.ID())
 	frame := unstorePayload{Key: key, DocID: id, Provider: n.ep.ID()}
-	payload := n.cdc.Encode(&frame)
+	payload := codec.Encode(&frame)
 	for _, t := range out.contacts {
 		sp := n.tr().Start(tctx, "unstore")
 		sp.SetPeer(string(t.Peer))
@@ -560,7 +549,7 @@ func (n *Node) Retrieve(id index.DocID, from transport.PeerID) (*index.Document,
 	sp := n.tr().Root("fetch")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	doc, err := p2p.RetrieveFrom(n.cdc, n.clk, n.ep, n.pending, &sp, id, from, 0)
+	doc, err := p2p.RetrieveFrom(n.clk, n.ep, n.pending, &sp, id, from, 0)
 	if err != nil {
 		n.nm.CountError(err)
 		return nil, err
@@ -574,7 +563,7 @@ func (n *Node) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, er
 	sp := n.tr().Root("attachment")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	return p2p.RetrieveAttachmentFrom(n.cdc, n.clk, n.ep, n.pending, &sp, uri, from, 0)
+	return p2p.RetrieveAttachmentFrom(n.clk, n.ep, n.pending, &sp, uri, from, 0)
 }
 
 // CheckLiveness probes the least-recently-seen contact of every
@@ -603,7 +592,7 @@ func (n *Node) pingPeer(peer transport.PeerID) bool {
 	err := n.ep.Send(transport.Message{
 		To:      peer,
 		Type:    MsgPing,
-		Payload: n.cdc.Encode(&ping),
+		Payload: codec.Encode(&ping),
 	})
 	if err != nil {
 		n.pending.Drop(reqID)
@@ -728,18 +717,18 @@ func (n *Node) handle(msg transport.Message) {
 	switch msg.Type {
 	case MsgPing:
 		var req pingPayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		pong := pingPayload{ReqID: req.ReqID}
 		_ = n.ep.Send(transport.Message{
 			To:      msg.From,
 			Type:    MsgPong,
-			Payload: n.cdc.Encode(&pong),
+			Payload: codec.Encode(&pong),
 		})
 	case MsgFindNode:
 		var req findNodePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		sp, tctx := n.startSpan(msg, "findnode.serve")
@@ -747,7 +736,7 @@ func (n *Node) handle(msg transport.Message) {
 			ReqID: req.ReqID,
 			Peers: contactPeers(n.table.Closest(req.Target, n.cfg.K)),
 		}
-		payload := n.cdc.Encode(&reply)
+		payload := codec.Encode(&reply)
 		_ = n.ep.Send(transport.Message{
 			To:      msg.From,
 			Type:    MsgFindNodeReply,
@@ -759,7 +748,7 @@ func (n *Node) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgFindValue:
 		var req findValuePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		sp, tctx := n.startSpan(msg, "findvalue.serve")
@@ -778,7 +767,7 @@ func (n *Node) handle(msg transport.Message) {
 		// Advertise a hot-key split so the querier fans into the
 		// attribute-hash sub-keys holding the migrated records.
 		reply.Split = n.records.splitFanout(req.Key)
-		payload := n.cdc.Encode(&reply)
+		payload := codec.Encode(&reply)
 		_ = n.ep.Send(transport.Message{
 			To:      msg.From,
 			Type:    MsgFindValueReply,
@@ -790,7 +779,7 @@ func (n *Node) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgStore:
 		var req storePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		sp, _ := n.startSpan(msg, "store.serve")
@@ -824,7 +813,7 @@ func (n *Node) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgUnstore:
 		var req unstorePayload
-		if err := n.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		// Same provenance rule: only the providing peer can withdraw
@@ -837,28 +826,28 @@ func (n *Node) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgPong:
 		reply := new(pingPayload)
-		if n.cdc.DecodeValue(reply, msg.Payload) == nil {
+		if reply.DecodeBinary(msg.Payload) == nil {
 			n.pending.Resolve(reply.ReqID, reply)
 		}
 	case MsgFindNodeReply:
 		reply := new(findNodeReplyPayload)
-		if n.cdc.DecodeValue(reply, msg.Payload) == nil {
+		if reply.DecodeBinary(msg.Payload) == nil {
 			n.pending.Resolve(reply.ReqID, reply)
 		}
 	case MsgFindValueReply:
 		reply := new(findValueReplyPayload)
-		if n.cdc.DecodeValue(reply, msg.Payload) == nil {
+		if reply.DecodeBinary(msg.Payload) == nil {
 			n.pending.Resolve(reply.ReqID, reply)
 		}
 	case p2p.MsgFetchReply, p2p.MsgAttachmentReply:
-		p2p.ResolveRetrievalReply(n.cdc, n.pending, msg)
+		p2p.ResolveRetrievalReply(n.pending, msg)
 	case p2p.MsgFetch:
-		p2p.ServeFetch(n.cdc, n.tr(), n.ep, n.store, msg)
+		p2p.ServeFetch(n.tr(), n.ep, n.store, msg)
 	case p2p.MsgAttachment:
 		n.mu.RLock()
 		p := n.attach
 		n.mu.RUnlock()
-		p2p.ServeAttachment(n.cdc, n.tr(), n.ep, p, msg)
+		p2p.ServeAttachment(n.tr(), n.ep, p, msg)
 	}
 }
 

@@ -274,11 +274,11 @@ func TestStoreProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	forgedStore := storePayload{Key: key, Records: []Record{forged}}
-	_ = atkEP.Send(transport.Message{To: holder.PeerID(), Type: MsgStore, Payload: codec.Default.Encode(&forgedStore)})
+	_ = atkEP.Send(transport.Message{To: holder.PeerID(), Type: MsgStore, Payload: codec.Encode(&forgedStore)})
 	// Forged unstore: attacker withdraws the victim's real record.
 	real := doc(1, "patterns", "behavioral")
 	forgedUnstore := unstorePayload{Key: key, DocID: real.ID, Provider: victim.PeerID()}
-	_ = atkEP.Send(transport.Message{To: holder.PeerID(), Type: MsgUnstore, Payload: codec.Default.Encode(&forgedUnstore)})
+	_ = atkEP.Send(transport.Message{To: holder.PeerID(), Type: MsgUnstore, Payload: codec.Encode(&forgedUnstore)})
 	rs, err := attacker.Search("patterns", query.MustParse("(classification=behavioral)"), p2p.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,6 @@ type IndexServer struct {
 	store     *index.Store
 	providers map[index.DocID][]transport.PeerID // registration order
 	tracer    *trace.Tracer
-	cdc       codec.Codec
 }
 
 // NewIndexServer attaches a server to the given endpoint with a
@@ -54,7 +53,6 @@ func NewIndexServerOn(ep transport.Endpoint, store *index.Store) *IndexServer {
 		ep:        ep,
 		store:     store,
 		providers: make(map[index.DocID][]transport.PeerID),
-		cdc:       codec.Default,
 	}
 	ep.SetHandler(s.handle)
 	return s
@@ -72,14 +70,6 @@ func (s *IndexServer) tr() *trace.Tracer {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tracer
-}
-
-// SetCodec installs the wire codec (default codec.Default). Call
-// before traffic starts, and use one codec network-wide.
-func (s *IndexServer) SetCodec(c codec.Codec) {
-	if c != nil {
-		s.cdc = c
-	}
 }
 
 // Len returns the number of distinct registered documents.
@@ -113,7 +103,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 	switch msg.Type {
 	case MsgRegister:
 		var reg registerPayload
-		if err := s.cdc.DecodeValue(&reg, msg.Payload); err != nil {
+		if err := reg.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		sp := s.startSpan(msg, "register.serve")
@@ -121,7 +111,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgRegisterBatch:
 		var batch registerBatchPayload
-		if err := s.cdc.DecodeValue(&batch, msg.Payload); err != nil {
+		if err := batch.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		sp := s.startSpan(msg, "register.serve")
@@ -129,7 +119,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgUnregister:
 		var unreg unregisterPayload
-		if err := s.cdc.DecodeValue(&unreg, msg.Payload); err != nil {
+		if err := unreg.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		s.mu.Lock()
@@ -149,7 +139,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 		s.mu.Unlock()
 	case MsgSearch:
 		var req searchPayload
-		if err := s.cdc.DecodeValue(&req, msg.Payload); err != nil {
+		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
@@ -161,7 +151,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 			f = query.MatchAll{}
 		}
 		results := s.search(req.CommunityID, f, req.Limit)
-		payload := s.cdc.Encode(&searchHitPayload{ReqID: req.ReqID, Results: results})
+		payload := codec.Encode(&searchHitPayload{ReqID: req.ReqID, Results: results})
 		_ = s.ep.Send(transport.Message{
 			To:      msg.From,
 			Type:    MsgSearchHit,
@@ -251,7 +241,6 @@ type CentralizedClient struct {
 	store   *index.Store
 	pending *PendingTable
 	clk     dsim.Clock
-	cdc     codec.Codec
 	nm      *NodeMetrics
 	// metricsProto labels this client's telemetry; "centralized" here,
 	// overridden to "fasttrack" by NewFastTrackLeaf (a leaf is this
@@ -276,7 +265,6 @@ func NewCentralizedClient(ep transport.Endpoint, server transport.PeerID, store 
 		store:        store,
 		pending:      NewPendingTable(),
 		clk:          dsim.Wall,
-		cdc:          codec.Default,
 		metricsProto: "centralized",
 	}
 	c.nm = NewNodeMetrics(metrics.Discard(), c.metricsProto)
@@ -324,14 +312,6 @@ func (c *CentralizedClient) SetClock(clk dsim.Clock) {
 	}
 }
 
-// SetCodec installs the wire codec (default codec.Default). Call
-// before traffic starts, and use one codec network-wide.
-func (c *CentralizedClient) SetCodec(cd codec.Codec) {
-	if cd != nil {
-		c.cdc = cd
-	}
-}
-
 // Server returns the index server (or super-peer) this client is
 // currently attached to.
 func (c *CentralizedClient) Server() transport.PeerID {
@@ -359,7 +339,7 @@ func (c *CentralizedClient) Publish(doc *index.Document) error {
 	defer sp.Finish()
 	tctx := sp.Context()
 	reg := registerPayloadFor(doc)
-	payload := c.cdc.Encode(&reg)
+	payload := codec.Encode(&reg)
 	sp.AddMsgs(1, int64(len(payload)))
 	return c.ep.Send(transport.Message{
 		To:      c.Server(),
@@ -401,7 +381,7 @@ func (c *CentralizedClient) registerBatch(server transport.PeerID, docs []*index
 		for _, doc := range docs[start:end] {
 			regs = append(regs, registerPayloadFor(doc))
 		}
-		payload := c.cdc.Encode(&registerBatchPayload{Docs: regs})
+		payload := codec.Encode(&registerBatchPayload{Docs: regs})
 		err := c.ep.Send(transport.Message{
 			To:      server,
 			Type:    MsgRegisterBatch,
@@ -442,7 +422,7 @@ func (c *CentralizedClient) Unpublish(id index.DocID) error {
 	return c.ep.Send(transport.Message{
 		To:      c.Server(),
 		Type:    MsgUnregister,
-		Payload: c.cdc.Encode(&unregisterPayload{DocID: id}),
+		Payload: codec.Encode(&unregisterPayload{DocID: id}),
 	})
 }
 
@@ -459,7 +439,7 @@ func (c *CentralizedClient) Search(communityID string, f query.Filter, opts Sear
 	defer sp.Finish()
 	tctx := sp.ContextOr(opts.Trace)
 	reqID, ch := c.pending.Create()
-	payload := c.cdc.Encode(&searchPayload{
+	payload := codec.Encode(&searchPayload{
 		ReqID:       reqID,
 		CommunityID: communityID,
 		Filter:      f.String(),
@@ -503,7 +483,7 @@ func (c *CentralizedClient) Retrieve(id index.DocID, from transport.PeerID) (*in
 	sp := c.tr().Root("fetch")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	doc, err := RetrieveFrom(c.cdc, c.clk, c.ep, c.pending, &sp, id, from, 0)
+	doc, err := RetrieveFrom(c.clk, c.ep, c.pending, &sp, id, from, 0)
 	if err != nil {
 		nm.CountError(err)
 		return nil, err
@@ -517,7 +497,7 @@ func (c *CentralizedClient) RetrieveAttachment(uri string, from transport.PeerID
 	sp := c.tr().Root("attachment")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	return RetrieveAttachmentFrom(c.cdc, c.clk, c.ep, c.pending, &sp, uri, from, 0)
+	return RetrieveAttachmentFrom(c.clk, c.ep, c.pending, &sp, uri, from, 0)
 }
 
 // Close implements Network.
@@ -536,19 +516,19 @@ func (c *CentralizedClient) handle(msg transport.Message) {
 	switch msg.Type {
 	case MsgSearchHit:
 		var hit searchHitPayload
-		if err := c.cdc.DecodeValue(&hit, msg.Payload); err != nil {
+		if err := hit.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		c.pending.Resolve(hit.ReqID, &hit)
 	case MsgFetchReply, MsgAttachmentReply:
-		ResolveRetrievalReply(c.cdc, c.pending, msg)
+		ResolveRetrievalReply(c.pending, msg)
 	case MsgFetch:
-		ServeFetch(c.cdc, c.tr(), c.ep, c.store, msg)
+		ServeFetch(c.tr(), c.ep, c.store, msg)
 	case MsgAttachment:
 		c.mu.RLock()
 		p := c.attach
 		c.mu.RUnlock()
-		ServeAttachment(c.cdc, c.tr(), c.ep, p, msg)
+		ServeAttachment(c.tr(), c.ep, p, msg)
 	}
 }
 

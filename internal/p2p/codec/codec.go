@@ -1,21 +1,12 @@
-// Package codec is the pluggable wire-payload serialization layer
-// under every protocol implementation (internal/p2p and internal/dht).
+// Package codec is the wire-payload serialization layer under every
+// protocol implementation (internal/p2p and internal/dht).
 //
-// Two codecs encode the same registered frame types:
-//
-//   - JSON: the original wire format, kept selectable so small runs
-//     can prove protocol-level equivalence against the binary codec
-//     (identical message counts and recall, byte content aside).
-//   - Binary: a hand-rolled length-prefixed format for the hot frame
-//     types. Encoding appends into pooled scratch and costs one exact
-//     allocation per frame; decoding walks the buffer with a cursor
-//     and allocates only the decoded fields. This is what makes a
-//     10k-peer simulated run allocator-bound work feasible: the JSON
-//     path costs dozens of reflection-driven allocations per frame.
-//
-// Both codecs are deterministic — map-valued fields (query.Attrs)
-// encode in sorted key order — so the golden-trace hash of a seeded
-// scenario is bit-identical across runs under either codec.
+// There is one wire format: a hand-rolled length-prefixed binary
+// encoding. Encoding appends into pooled scratch and costs one exact
+// allocation per frame; decoding walks the buffer with a cursor and
+// allocates only the decoded fields. Encoding is deterministic —
+// map-valued fields (query.Attrs) encode in sorted key order — so the
+// golden-trace hash of a seeded scenario is bit-identical across runs.
 //
 // Frames register themselves (Register, keyed by the wire type string
 // of the transport.Message that carries them) from init functions in
@@ -25,7 +16,6 @@ package codec
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -34,70 +24,13 @@ import (
 )
 
 // Frame is one wire payload: anything that can append itself to a
-// binary buffer and decode itself back. JSON encoding uses the
-// frame's ordinary struct tags.
+// binary buffer and decode itself back.
 type Frame interface {
 	AppendBinary(dst []byte) []byte
 	DecodeBinary(data []byte) error
 }
 
-// Codec turns frames into payload bytes and back.
-type Codec interface {
-	// Name identifies the codec ("json", "binary").
-	Name() string
-	// Encode serializes a frame into a fresh payload slice. Payload
-	// types are plain data; an encoding failure is a programming error
-	// and panics, like the marshal helpers it replaces.
-	Encode(f Frame) []byte
-	// DecodeValue deserializes a payload into the caller's frame value
-	// — the hot path for handlers that know the expected type from the
-	// message's wire type and decode exactly once at the endpoint.
-	DecodeValue(f Frame, payload []byte) error
-}
-
-// JSON is the reflection-based codec: the original wire format.
-var JSON Codec = jsonCodec{}
-
-// Binary is the length-prefixed binary codec.
-var Binary Codec = binaryCodec{}
-
-// Default is the codec protocol nodes use unless one is injected
-// (sim.Config.Codec / SetCodec): binary, the allocation-lean format.
-var Default = Binary
-
-// ByName resolves a codec by its name; unknown names return Default.
-func ByName(name string) Codec {
-	switch name {
-	case "json":
-		return JSON
-	case "binary":
-		return Binary
-	default:
-		return Default
-	}
-}
-
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return "json" }
-
-func (jsonCodec) Encode(f Frame) []byte {
-	b, err := json.Marshal(f)
-	if err != nil {
-		panic(fmt.Sprintf("codec: json encode: %v", err))
-	}
-	return b
-}
-
-func (jsonCodec) DecodeValue(f Frame, payload []byte) error {
-	return json.Unmarshal(payload, f)
-}
-
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
-
-// encScratch pools the append buffers binary encoding grows into, so
+// encScratch pools the append buffers encoding grows into, so
 // steady-state encoding costs exactly one allocation: the final
 // exact-size payload copy (which must be fresh — payloads outlive the
 // encode call on asynchronous transports).
@@ -106,7 +39,8 @@ var encScratch = sync.Pool{New: func() any {
 	return &b
 }}
 
-func (binaryCodec) Encode(f Frame) []byte {
+// Encode serializes a frame into a fresh payload slice.
+func Encode(f Frame) []byte {
 	bp := encScratch.Get().(*[]byte)
 	b := f.AppendBinary((*bp)[:0])
 	out := make([]byte, len(b))
@@ -114,10 +48,6 @@ func (binaryCodec) Encode(f Frame) []byte {
 	*bp = b[:0]
 	encScratch.Put(bp)
 	return out
-}
-
-func (binaryCodec) DecodeValue(f Frame, payload []byte) error {
-	return f.DecodeBinary(payload)
 }
 
 // --- frame registry ---
@@ -162,20 +92,6 @@ func Types() []string {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// Decode deserializes a payload of a registered wire type into a
-// fresh frame — the generic path for endpoints that route on the wire
-// type alone.
-func Decode(c Codec, wireType string, payload []byte) (Frame, error) {
-	f, ok := New(wireType)
-	if !ok {
-		return nil, fmt.Errorf("codec: unknown wire type %q", wireType)
-	}
-	if err := c.DecodeValue(f, payload); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // --- binary primitives ---
@@ -337,7 +253,7 @@ func (r *Reader) Bool() bool {
 }
 
 // Attrs reads an attribute map written by AppendAttrs (nil for an
-// empty one, mirroring the JSON behaviour).
+// empty one).
 func (r *Reader) Attrs() query.Attrs {
 	n := r.Len()
 	if r.err != nil || n == 0 {

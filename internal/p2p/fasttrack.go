@@ -39,7 +39,6 @@ type serverEntry struct {
 type SuperPeer struct {
 	ep     transport.Endpoint
 	guids  *guidSource
-	cdc    codec.Codec
 	tracer *trace.Tracer
 
 	mu        sync.RWMutex
@@ -61,7 +60,6 @@ func NewSuperPeer(ep transport.Endpoint) *SuperPeer {
 	s := &SuperPeer{
 		ep:        ep,
 		guids:     newGUIDSource(ep.ID()),
-		cdc:       codec.Default,
 		leafIndex: make(map[index.DocID][]serverEntry),
 		seen:      make(map[uint64]transport.PeerID),
 		collect:   make(map[uint64]*hitCollector),
@@ -85,14 +83,6 @@ func (s *SuperPeer) tr() *trace.Tracer {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tracer
-}
-
-// SetCodec installs the wire codec (default codec.Default). Call
-// before traffic starts, and use one codec network-wide.
-func (s *SuperPeer) SetCodec(c codec.Codec) {
-	if c != nil {
-		s.cdc = c
-	}
 }
 
 // AddNeighbor links this super-peer to another (one direction).
@@ -180,7 +170,7 @@ func (s *SuperPeer) handle(msg transport.Message) {
 	switch msg.Type {
 	case MsgRegister:
 		var reg registerPayload
-		if err := s.cdc.DecodeValue(&reg, msg.Payload); err != nil {
+		if err := reg.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		sp := s.startSpan(msg, "register.serve")
@@ -188,7 +178,7 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgRegisterBatch:
 		var batch registerBatchPayload
-		if err := s.cdc.DecodeValue(&batch, msg.Payload); err != nil {
+		if err := batch.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		sp := s.startSpan(msg, "register.serve")
@@ -196,7 +186,7 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		sp.Finish()
 	case MsgUnregister:
 		var unreg unregisterPayload
-		if err := s.cdc.DecodeValue(&unreg, msg.Payload); err != nil {
+		if err := unreg.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
 		s.mu.Lock()
@@ -253,7 +243,7 @@ func (s *SuperPeer) registerLeaf(from transport.PeerID, regs []registerPayload) 
 // gathered by flooding other super-peers.
 func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	var req searchPayload
-	if err := s.cdc.DecodeValue(&req, msg.Payload); err != nil {
+	if err := req.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
@@ -282,7 +272,7 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 		Filter:      f.String(),
 		TTL:         DefaultTTL,
 	}
-	payload := s.cdc.Encode(&q)
+	payload := codec.Encode(&q)
 	for _, n := range neighbors {
 		_ = s.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
 			TraceID: tctx.Trace, SpanID: tctx.Span})
@@ -295,7 +285,7 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	s.mu.Lock()
 	delete(s.collect, guid)
 	s.mu.Unlock()
-	reply := s.cdc.Encode(&searchHitPayload{ReqID: req.ReqID, Results: merged})
+	reply := codec.Encode(&searchHitPayload{ReqID: req.ReqID, Results: merged})
 	_ = s.ep.Send(transport.Message{
 		To:      msg.From,
 		Type:    MsgSearchHit,
@@ -347,7 +337,7 @@ func (s *SuperPeer) localSearch(communityID string, f query.Filter, limit int) [
 
 func (s *SuperPeer) handleQuery(msg transport.Message) {
 	var q queryPayload
-	if err := s.cdc.DecodeValue(&q, msg.Payload); err != nil {
+	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
@@ -374,7 +364,7 @@ func (s *SuperPeer) handleQuery(msg transport.Message) {
 		results[i].Hops = hops
 	}
 	if len(results) > 0 {
-		hit := s.cdc.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
+		hit := codec.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
 		_ = s.ep.Send(transport.Message{
 			To:      msg.From,
 			Type:    MsgQueryHit,
@@ -390,7 +380,7 @@ func (s *SuperPeer) handleQuery(msg transport.Message) {
 	fwd := q
 	fwd.TTL--
 	fwd.Hops = hops
-	payload := s.cdc.Encode(&fwd)
+	payload := codec.Encode(&fwd)
 	for _, n := range neighbors {
 		if n != msg.From {
 			_ = s.ep.Send(transport.Message{To: n, Type: MsgQuery, Payload: payload,
@@ -402,7 +392,7 @@ func (s *SuperPeer) handleQuery(msg transport.Message) {
 
 func (s *SuperPeer) handleQueryHit(msg transport.Message) {
 	var hit queryHitPayload
-	if err := s.cdc.DecodeValue(&hit, msg.Payload); err != nil {
+	if err := hit.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	s.mu.RLock()

@@ -25,7 +25,6 @@ type GnutellaNode struct {
 	pending *PendingTable
 	guids   *guidSource
 	clk     dsim.Clock
-	cdc     codec.Codec
 	nm      *NodeMetrics
 	tracer  *trace.Tracer
 
@@ -85,7 +84,6 @@ func NewGnutellaNode(ep transport.Endpoint, store *index.Store) *GnutellaNode {
 		pending: NewPendingTable(),
 		guids:   newGUIDSource(ep.ID()),
 		clk:     dsim.Wall,
-		cdc:     codec.Default,
 		seen:    make(map[uint64]transport.PeerID),
 		collect: make(map[uint64]*hitCollector),
 	}
@@ -128,14 +126,6 @@ func (g *GnutellaNode) tr() *trace.Tracer {
 func (g *GnutellaNode) SetClock(clk dsim.Clock) {
 	if clk != nil {
 		g.clk = clk
-	}
-}
-
-// SetCodec installs the wire codec (default codec.Default). Call
-// before traffic starts, and use one codec network-wide.
-func (g *GnutellaNode) SetCodec(c codec.Codec) {
-	if c != nil {
-		g.cdc = c
 	}
 }
 
@@ -250,7 +240,7 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 		TTL:         ttl,
 		Hops:        0,
 	}
-	payload := g.cdc.Encode(&q)
+	payload := codec.Encode(&q)
 	for _, n := range neighbors {
 		// Unreachable neighbors are skipped, like UDP loss in the
 		// original protocol.
@@ -284,7 +274,7 @@ func (g *GnutellaNode) Retrieve(id index.DocID, from transport.PeerID) (*index.D
 	sp := g.tr().Root("fetch")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	doc, err := RetrieveFrom(g.cdc, g.clk, g.ep, g.pending, &sp, id, from, 0)
+	doc, err := RetrieveFrom(g.clk, g.ep, g.pending, &sp, id, from, 0)
 	if err != nil {
 		nm.CountError(err)
 		return nil, err
@@ -298,7 +288,7 @@ func (g *GnutellaNode) RetrieveAttachment(uri string, from transport.PeerID) ([]
 	sp := g.tr().Root("attachment")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
-	return RetrieveAttachmentFrom(g.cdc, g.clk, g.ep, g.pending, &sp, uri, from, 0)
+	return RetrieveAttachmentFrom(g.clk, g.ep, g.pending, &sp, uri, from, 0)
 }
 
 // Close implements Network.
@@ -346,20 +336,20 @@ func (g *GnutellaNode) handle(msg transport.Message) {
 	case MsgPong:
 		g.handlePong(msg)
 	case MsgFetch:
-		ServeFetch(g.cdc, g.tr(), g.ep, g.store, msg)
+		ServeFetch(g.tr(), g.ep, g.store, msg)
 	case MsgFetchReply, MsgAttachmentReply:
-		ResolveRetrievalReply(g.cdc, g.pending, msg)
+		ResolveRetrievalReply(g.pending, msg)
 	case MsgAttachment:
 		g.mu.RLock()
 		p := g.attach
 		g.mu.RUnlock()
-		ServeAttachment(g.cdc, g.tr(), g.ep, p, msg)
+		ServeAttachment(g.tr(), g.ep, p, msg)
 	}
 }
 
 func (g *GnutellaNode) handleQuery(msg transport.Message) {
 	var q queryPayload
-	if err := g.cdc.DecodeValue(&q, msg.Payload); err != nil {
+	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
@@ -388,7 +378,7 @@ func (g *GnutellaNode) handleQuery(msg transport.Message) {
 		results[i].Hops = hops
 	}
 	if len(results) > 0 {
-		hit := g.cdc.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
+		hit := codec.Encode(&queryHitPayload{GUID: q.GUID, Results: results})
 		// Route the hit back toward the origin along the reverse path.
 		_ = g.ep.Send(transport.Message{To: msg.From, Type: MsgQueryHit, Payload: hit,
 			TraceID: tctx.Trace, SpanID: tctx.Span})
@@ -401,7 +391,7 @@ func (g *GnutellaNode) handleQuery(msg transport.Message) {
 	fwd := q
 	fwd.TTL--
 	fwd.Hops = hops
-	payload := g.cdc.Encode(&fwd)
+	payload := codec.Encode(&fwd)
 	for _, n := range neighbors {
 		if n == msg.From {
 			continue
@@ -414,7 +404,7 @@ func (g *GnutellaNode) handleQuery(msg transport.Message) {
 
 func (g *GnutellaNode) handleQueryHit(msg transport.Message) {
 	var hit queryHitPayload
-	if err := g.cdc.DecodeValue(&hit, msg.Payload); err != nil {
+	if err := hit.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	g.mu.RLock()

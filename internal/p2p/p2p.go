@@ -135,26 +135,26 @@ var (
 // --- wire payloads ---
 
 type searchPayload struct {
-	ReqID       uint64 `json:"reqId"`
-	CommunityID string `json:"communityId"`
-	Filter      string `json:"filter"`
-	Limit       int    `json:"limit"`
+	ReqID       uint64
+	CommunityID string
+	Filter      string
+	Limit       int
 }
 
 type searchHitPayload struct {
-	ReqID   uint64   `json:"reqId"`
-	Results []Result `json:"results"`
+	ReqID   uint64
+	Results []Result
 }
 
 type registerPayload struct {
-	DocID       index.DocID `json:"docId"`
-	CommunityID string      `json:"communityId"`
-	Title       string      `json:"title"`
-	Attrs       query.Attrs `json:"attrs"`
+	DocID       index.DocID
+	CommunityID string
+	Title       string
+	Attrs       query.Attrs
 }
 
 type registerBatchPayload struct {
-	Docs []registerPayload `json:"docs"`
+	Docs []registerPayload
 }
 
 // registerPayloadFor extracts the registered metadata of a document.
@@ -172,43 +172,43 @@ func registerPayloadFor(doc *index.Document) registerPayload {
 const registerBatchChunk = 512
 
 type unregisterPayload struct {
-	DocID index.DocID `json:"docId"`
+	DocID index.DocID
 }
 
 type queryPayload struct {
-	GUID        uint64           `json:"guid"`
-	Origin      transport.PeerID `json:"origin"`
-	CommunityID string           `json:"communityId"`
-	Filter      string           `json:"filter"`
-	TTL         int              `json:"ttl"`
-	Hops        int              `json:"hops"`
+	GUID        uint64
+	Origin      transport.PeerID
+	CommunityID string
+	Filter      string
+	TTL         int
+	Hops        int
 }
 
 type queryHitPayload struct {
-	GUID    uint64   `json:"guid"`
-	Results []Result `json:"results"`
+	GUID    uint64
+	Results []Result
 }
 
 type fetchPayload struct {
-	ReqID uint64      `json:"reqId"`
-	DocID index.DocID `json:"docId"`
+	ReqID uint64
+	DocID index.DocID
 }
 
 type fetchReplyPayload struct {
-	ReqID uint64          `json:"reqId"`
-	Found bool            `json:"found"`
-	Doc   *index.Document `json:"doc,omitempty"`
+	ReqID uint64
+	Found bool
+	Doc   *index.Document
 }
 
 type attachmentPayload struct {
-	ReqID uint64 `json:"reqId"`
-	URI   string `json:"uri"`
+	ReqID uint64
+	URI   string
 }
 
 type attachmentReplyPayload struct {
-	ReqID uint64 `json:"reqId"`
-	Found bool   `json:"found"`
-	Data  []byte `json:"data,omitempty"`
+	ReqID uint64
+	Found bool
+	Data  []byte
 }
 
 // --- request/response correlation ---
@@ -352,9 +352,9 @@ func peerSliceRemove(s []transport.PeerID, peer transport.PeerID) []transport.Pe
 // overlay in internal/dht, which is why it is exported). When the
 // inbound frame carries a trace context and tr is non-nil, the serve
 // is recorded as a child span with the reply attributed to it.
-func ServeFetch(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, store *index.Store, msg transport.Message) {
+func ServeFetch(tr *trace.Tracer, ep transport.Endpoint, store *index.Store, msg transport.Message) {
 	var req fetchPayload
-	if err := c.DecodeValue(&req, msg.Payload); err != nil {
+	if err := req.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
@@ -369,7 +369,7 @@ func ServeFetch(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, store *i
 	} else {
 		sp.SetErr(fmt.Errorf("%w: %s", ErrNotProvided, req.DocID))
 	}
-	payload := c.Encode(&reply)
+	payload := codec.Encode(&reply)
 	_ = ep.Send(transport.Message{
 		To:      msg.From,
 		Type:    MsgFetchReply,
@@ -381,9 +381,9 @@ func ServeFetch(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, store *i
 }
 
 // ServeAttachment answers MsgAttachment via the provider callback.
-func ServeAttachment(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, provider AttachmentProvider, msg transport.Message) {
+func ServeAttachment(tr *trace.Tracer, ep transport.Endpoint, provider AttachmentProvider, msg transport.Message) {
 	var req attachmentPayload
-	if err := c.DecodeValue(&req, msg.Payload); err != nil {
+	if err := req.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
@@ -401,7 +401,7 @@ func ServeAttachment(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, pro
 	if !reply.Found {
 		sp.SetErr(ErrNotProvided)
 	}
-	payload := c.Encode(&reply)
+	payload := codec.Encode(&reply)
 	_ = ep.Send(transport.Message{
 		To:      msg.From,
 		Type:    MsgAttachmentReply,
@@ -416,10 +416,10 @@ func ServeAttachment(c codec.Codec, tr *trace.Tracer, ep transport.Endpoint, pro
 // protocol. sp, when active, is the caller's fetch span: the request
 // frame is stamped with its context and attributed to it (the caller
 // finishes the span).
-func RetrieveFrom(c codec.Codec, clk dsim.Clock, ep transport.Endpoint, pending *PendingTable, sp *trace.ActiveSpan, id index.DocID, from transport.PeerID, timeout time.Duration) (*index.Document, error) {
+func RetrieveFrom(clk dsim.Clock, ep transport.Endpoint, pending *PendingTable, sp *trace.ActiveSpan, id index.DocID, from transport.PeerID, timeout time.Duration) (*index.Document, error) {
 	reqID, ch := pending.Create()
 	tctx := sp.Context()
-	payload := c.Encode(&fetchPayload{ReqID: reqID, DocID: id})
+	payload := codec.Encode(&fetchPayload{ReqID: reqID, DocID: id})
 	err := ep.Send(transport.Message{
 		To:      from,
 		Type:    MsgFetch,
@@ -454,10 +454,10 @@ func RetrieveFrom(c codec.Codec, clk dsim.Clock, ep transport.Endpoint, pending 
 // RetrieveAttachmentFrom implements the client side of attachment
 // download for both protocols. sp is the caller's span, as in
 // RetrieveFrom.
-func RetrieveAttachmentFrom(c codec.Codec, clk dsim.Clock, ep transport.Endpoint, pending *PendingTable, sp *trace.ActiveSpan, uri string, from transport.PeerID, timeout time.Duration) ([]byte, error) {
+func RetrieveAttachmentFrom(clk dsim.Clock, ep transport.Endpoint, pending *PendingTable, sp *trace.ActiveSpan, uri string, from transport.PeerID, timeout time.Duration) ([]byte, error) {
 	reqID, ch := pending.Create()
 	tctx := sp.Context()
-	payload := c.Encode(&attachmentPayload{ReqID: reqID, URI: uri})
+	payload := codec.Encode(&attachmentPayload{ReqID: reqID, URI: uri})
 	err := ep.Send(transport.Message{
 		To:      from,
 		Type:    MsgAttachment,
@@ -494,17 +494,17 @@ func RetrieveAttachmentFrom(c codec.Codec, clk dsim.Clock, ep transport.Endpoint
 // with the typed frame. It reports whether the message was one of the
 // retrieval reply types (decoded or not), so protocol handlers can
 // delegate both cases in one call.
-func ResolveRetrievalReply(c codec.Codec, pending *PendingTable, msg transport.Message) bool {
+func ResolveRetrievalReply(pending *PendingTable, msg transport.Message) bool {
 	switch msg.Type {
 	case MsgFetchReply:
 		var reply fetchReplyPayload
-		if err := c.DecodeValue(&reply, msg.Payload); err == nil {
+		if err := reply.DecodeBinary(msg.Payload); err == nil {
 			pending.Resolve(reply.ReqID, &reply)
 		}
 		return true
 	case MsgAttachmentReply:
 		var reply attachmentReplyPayload
-		if err := c.DecodeValue(&reply, msg.Payload); err == nil {
+		if err := reply.DecodeBinary(msg.Payload); err == nil {
 			pending.Resolve(reply.ReqID, &reply)
 		}
 		return true

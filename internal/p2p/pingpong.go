@@ -3,6 +3,7 @@ package p2p
 import (
 	"sync"
 
+	"repro/internal/p2p/codec"
 	"repro/internal/transport"
 )
 
@@ -21,16 +22,16 @@ const (
 )
 
 type pingPayload struct {
-	GUID   uint64           `json:"guid"`
-	Origin transport.PeerID `json:"origin"`
-	TTL    int              `json:"ttl"`
-	Hops   int              `json:"hops"`
+	GUID   uint64
+	Origin transport.PeerID
+	TTL    int
+	Hops   int
 }
 
 type pongPayload struct {
-	GUID uint64           `json:"guid"`
-	Peer transport.PeerID `json:"peer"`
-	Hops int              `json:"hops"`
+	GUID uint64
+	Peer transport.PeerID
+	Hops int
 }
 
 // MaxNeighbors caps a node's overlay degree during discovery, like the
@@ -72,7 +73,7 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 	g.disc.pongs[guid] = nil
 	g.disc.mu.Unlock()
 
-	payload := g.cdc.Encode(&pingPayload{GUID: guid, Origin: g.ep.ID(), TTL: ttl})
+	payload := codec.Encode(&pingPayload{GUID: guid, Origin: g.ep.ID(), TTL: ttl})
 	for _, n := range neighbors {
 		_ = g.ep.Send(transport.Message{To: n, Type: MsgPing, Payload: payload})
 	}
@@ -98,7 +99,7 @@ func (g *GnutellaNode) Discover(ttl int) []transport.PeerID {
 // handlePing answers with a Pong and forwards the flood.
 func (g *GnutellaNode) handlePing(msg transport.Message) {
 	var p pingPayload
-	if err := g.cdc.DecodeValue(&p, msg.Payload); err != nil {
+	if err := p.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	g.mu.Lock()
@@ -114,7 +115,7 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	_ = g.ep.Send(transport.Message{
 		To:      msg.From,
 		Type:    MsgPong,
-		Payload: g.cdc.Encode(&pongPayload{GUID: p.GUID, Peer: g.ep.ID(), Hops: hops}),
+		Payload: codec.Encode(&pongPayload{GUID: p.GUID, Peer: g.ep.ID(), Hops: hops}),
 	})
 	if p.TTL <= 1 {
 		return
@@ -122,7 +123,7 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 	fwd := p
 	fwd.TTL--
 	fwd.Hops = hops
-	payload := g.cdc.Encode(&fwd)
+	payload := codec.Encode(&fwd)
 	for _, n := range neighbors {
 		if n != msg.From {
 			_ = g.ep.Send(transport.Message{To: n, Type: MsgPing, Payload: payload})
@@ -133,7 +134,7 @@ func (g *GnutellaNode) handlePing(msg transport.Message) {
 // handlePong collects at the origin or relays backward.
 func (g *GnutellaNode) handlePong(msg transport.Message) {
 	var p pongPayload
-	if err := g.cdc.DecodeValue(&p, msg.Payload); err != nil {
+	if err := p.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
 	g.mu.RLock()

@@ -16,7 +16,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/p2p"
-	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -120,12 +119,6 @@ type Config struct {
 	// one snapshot covers the deployment. Nil means a fresh private
 	// registry; pass metrics.Discard() to turn telemetry off.
 	Metrics *metrics.Registry
-	// Codec selects the wire codec every node encodes frames with
-	// (nil = codec.Default, the length-lean binary format). Pass
-	// codec.JSON to run the same deployment on the JSON wire format —
-	// the codec-equivalence tests prove recall and message counts are
-	// identical either way.
-	Codec codec.Codec
 	// DHTRepublishAlways disables the DHT's adaptive republish check
 	// (dht.Config.RepublishAlways): every Refresh re-STOREs every key.
 	// The baseline arm of the E14 adaptive-republish comparison.
@@ -144,7 +137,6 @@ type Cluster struct {
 
 	cfg    Config
 	clock  dsim.Clock
-	cdc    codec.Codec
 	nodes  []*p2p.GnutellaNode // parallel to Servents under Gnutella
 	dhts   []*dht.Node         // parallel to Servents under DHT
 	supers []*p2p.SuperPeer    // FastTrack super-peer overlay
@@ -196,11 +188,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if clk == nil {
 		clk = dsim.Wall
 	}
-	cdc := cfg.Codec
-	if cdc == nil {
-		cdc = codec.Default
-	}
-	c := &Cluster{Net: net, cfg: cfg, clock: clk, cdc: cdc, rng: rand.New(rand.NewSource(cfg.Seed)), reg: reg}
+	c := &Cluster{Net: net, cfg: cfg, clock: clk, rng: rand.New(rand.NewSource(cfg.Seed)), reg: reg}
 	if cfg.TraceSample > 0 {
 		// Per-node tracers are created with sampling 0: only the
 		// scenario driver roots traces, so every recorded span tree
@@ -219,7 +207,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.Server = p2p.NewIndexServerOn(sep, index.NewStore(index.WithMetrics(reg)))
-		c.Server.SetCodec(cdc)
 		c.Server.SetTracer(c.nodeTracer("server"))
 	case Gnutella, DHT:
 		// Peers carry the whole overlay; nothing global to set up.
@@ -237,7 +224,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			sp := p2p.NewSuperPeer(ep)
-			sp.SetCodec(cdc)
 			sp.SetTracer(c.nodeTracer(ep.ID()))
 			c.supers = append(c.supers, sp)
 			c.superAlive = append(c.superAlive, true)
@@ -287,14 +273,12 @@ func (c *Cluster) newPeer() (int, error) {
 	switch c.cfg.Protocol {
 	case Centralized:
 		client := p2p.NewCentralizedClient(ep, "server", st)
-		client.SetCodec(c.cdc)
 		client.SetClock(c.clock)
 		client.SetMetrics(c.reg)
 		client.SetTracer(c.nodeTracer(ep.ID()))
 		netw = client
 	case Gnutella:
 		node := p2p.NewGnutellaNode(ep, st)
-		node.SetCodec(c.cdc)
 		node.SetClock(c.clock)
 		node.SetMetrics(c.reg)
 		node.SetTracer(c.nodeTracer(ep.ID()))
@@ -311,7 +295,6 @@ func (c *Cluster) newPeer() (int, error) {
 			MaxRecordsPerKey: c.cfg.DHTMaxRecordsPerKey,
 			RepublishAlways:  c.cfg.DHTRepublishAlways,
 		})
-		node.SetCodec(c.cdc)
 		node.SetClock(c.clock)
 		node.SetMetrics(c.reg)
 		node.SetTracer(c.nodeTracer(ep.ID()))
@@ -331,7 +314,6 @@ func (c *Cluster) newPeer() (int, error) {
 			superIdx = live[c.rng.Intn(len(live))]
 		}
 		leaf := p2p.NewFastTrackLeaf(ep, c.supers[superIdx].PeerID(), st)
-		leaf.SetCodec(c.cdc)
 		leaf.SetClock(c.clock)
 		leaf.SetMetrics(c.reg)
 		leaf.SetTracer(c.nodeTracer(ep.ID()))

@@ -4,8 +4,8 @@
 // network (deterministic, instrumented with message/byte counters,
 // latency model, drop and partition fault injection — the substrate
 // for the paper-scale experiments) and a real TCP transport
-// (length-prefixed JSON frames) proving the protocol code paths do not
-// depend on the simulator.
+// (length-prefixed binary frames) proving the protocol code paths do
+// not depend on the simulator.
 package transport
 
 import (
@@ -19,20 +19,22 @@ import (
 type PeerID string
 
 // Message is one protocol datagram. Payload encoding is the p2p
-// layer's concern (JSON in this implementation).
+// layer's concern (a binary frame of internal/p2p/codec); transports
+// carry it as opaque bytes.
 //
 // TraceID/SpanID carry the distributed-tracing context as header
 // fields, deliberately outside Payload: the simulator's golden-trace
-// hash folds only From/To/Type/Payload, and the TCP framing omits
-// zero values, so enabling tracing leaves both the hash and the
-// untraced wire bytes bit-identical.
+// hash folds only From/To/Type/Payload, and the TCP envelope encodes
+// an untraced message's zero IDs identically whether tracing is on or
+// off, so enabling tracing leaves both the hash and the untraced wire
+// bytes bit-identical.
 type Message struct {
-	From    PeerID `json:"from"`
-	To      PeerID `json:"to"`
-	Type    string `json:"type"`
-	Payload []byte `json:"payload"`
-	TraceID uint64 `json:"trace_id,omitempty"`
-	SpanID  uint64 `json:"span_id,omitempty"`
+	From    PeerID
+	To      PeerID
+	Type    string
+	Payload []byte
+	TraceID uint64
+	SpanID  uint64
 }
 
 // Handler consumes inbound messages. Handlers must not block
