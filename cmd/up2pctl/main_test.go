@@ -74,13 +74,13 @@ func TestCLIAgainstLiveServent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2p.NewIndexServer(sep)
+	p2p.NewIndexServer(sep, index.NewStore(), p2p.Env{})
 	ep, err := net.Endpoint("peer")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := index.NewStore()
-	sv, err := core.NewServent(p2p.NewCentralizedClient(ep, "server", st), st)
+	sv, err := core.NewServent(p2p.NewCentralizedClient(ep, "server", st, p2p.Env{}), st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,6 +93,9 @@ func run() error {
 		collector.Attach(tracer)
 		logger.Info("tracing enabled", "sample", cfg.TraceSample)
 	}
+	// Every protocol node is wired once, at construction, onto the
+	// daemon's wall clock, registry and tracer.
+	env := p2p.Env{Metrics: reg, Tracer: tracer}
 
 	// pprof rides its own listener so profiling is never exposed on
 	// the public web/ops address.
@@ -126,8 +129,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		is := p2p.NewIndexServerOn(node, store)
-		is.SetTracer(tracer)
+		is := p2p.NewIndexServer(node, store, env)
 		healthFn = func() health {
 			h := base()
 			h.Docs = is.Len()
@@ -143,8 +145,7 @@ func run() error {
 			return err
 		}
 	case "superpeer":
-		sp := p2p.NewSuperPeer(node)
-		sp.SetTracer(tracer)
+		sp := p2p.NewSuperPeer(node, env)
 		for _, n := range cfg.Neighbors {
 			sp.AddNeighbor(transport.PeerID(n))
 		}
@@ -156,7 +157,7 @@ func run() error {
 		}
 		cleanup = sp.Close
 	default:
-		sv, hf, err := buildServent(cfg, node, reg, tracer, logger, base)
+		sv, hf, err := buildServent(cfg, node, env, logger, base)
 		if err != nil {
 			return err
 		}
@@ -203,10 +204,10 @@ func run() error {
 }
 
 // buildServent wires a servent-mode P2P node (centralized, gnutella,
-// fasttrack, dht) onto the shared registry and tracer, and returns it
-// with its mode-specific health callback.
-func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tracer *trace.Tracer, logger *slog.Logger, base func() health) (*core.Servent, func() health, error) {
-	store, err := openStore(cfg, reg, logger)
+// fasttrack, dht) onto env's registry and tracer, and returns it with
+// its mode-specific health callback.
+func buildServent(cfg Config, node *transport.TCPNode, env p2p.Env, logger *slog.Logger, base func() health) (*core.Servent, func() health, error) {
+	store, err := openStore(cfg, env.Metrics, logger)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,9 +215,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 	var healthFn func() health
 	switch cfg.Mode {
 	case "centralized":
-		client := p2p.NewCentralizedClient(node, transport.PeerID(cfg.Server), store)
-		client.SetMetrics(reg)
-		client.SetTracer(tracer)
+		client := p2p.NewCentralizedClient(node, transport.PeerID(cfg.Server), store, env)
 		network = client
 		healthFn = func() health {
 			h := base()
@@ -226,9 +225,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 			return h
 		}
 	case "fasttrack":
-		leaf := p2p.NewFastTrackLeaf(node, transport.PeerID(cfg.Server), store)
-		leaf.SetMetrics(reg)
-		leaf.SetTracer(tracer)
+		leaf := p2p.NewFastTrackLeaf(node, transport.PeerID(cfg.Server), store, env)
 		network = leaf
 		healthFn = func() health {
 			h := base()
@@ -238,9 +235,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 			return h
 		}
 	case "gnutella":
-		g := p2p.NewGnutellaNode(node, store)
-		g.SetMetrics(reg)
-		g.SetTracer(tracer)
+		g := p2p.NewGnutellaNode(node, store, env)
 		for _, n := range cfg.Neighbors {
 			g.AddNeighbor(transport.PeerID(n))
 		}
@@ -256,9 +251,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 			return h
 		}
 	case "dht":
-		d := dht.NewNode(node, store, dht.Config{CacheRecords: cfg.DHTCache})
-		d.SetMetrics(reg)
-		d.SetTracer(tracer)
+		d := dht.NewNode(node, store, dht.Config{CacheRecords: cfg.DHTCache, Env: env})
 		var boot []transport.PeerID
 		for _, n := range cfg.Neighbors {
 			boot = append(boot, transport.PeerID(n))
@@ -299,7 +292,7 @@ func buildServent(cfg Config, node *transport.TCPNode, reg *metrics.Registry, tr
 	}
 	// The servent roots a trace per web-interface search and logs
 	// failed searches with their errs code and trace ID.
-	sv.SetTracer(tracer)
+	sv.SetTracer(env.Tracer)
 	sv.SetLogger(logger)
 	if cfg.StateDir != "" {
 		if err := loadState(sv, cfg, logger); err != nil {

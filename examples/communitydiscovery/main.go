@@ -37,14 +37,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	p2p.NewIndexServer(sep)
+	p2p.NewIndexServer(sep, index.NewStore(), p2p.Env{})
 	newPeer := func(name transport.PeerID) (*core.Servent, error) {
 		ep, err := net.Endpoint(name)
 		if err != nil {
 			return nil, err
 		}
 		st := index.NewStore()
-		return core.NewServent(p2p.NewCentralizedClient(ep, "server", st), st)
+		return core.NewServent(p2p.NewCentralizedClient(ep, "server", st, p2p.Env{}), st)
 	}
 
 	// Four founders, each hosting a different community.

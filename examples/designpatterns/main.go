@@ -58,7 +58,7 @@ func run() error {
 			return err
 		}
 		st := index.NewStore()
-		node := p2p.NewGnutellaNode(ep, st)
+		node := p2p.NewGnutellaNode(ep, st, p2p.Env{})
 		sv, err := core.NewServent(node, st)
 		if err != nil {
 			return err

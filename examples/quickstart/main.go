@@ -56,7 +56,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	p2p.NewIndexServer(sep)
+	p2p.NewIndexServer(sep, index.NewStore(), p2p.Env{})
 
 	newPeer := func(name transport.PeerID) (*core.Servent, error) {
 		ep, err := net.Endpoint(name)
@@ -64,7 +64,7 @@ func run() error {
 			return nil, err
 		}
 		st := index.NewStore()
-		return core.NewServent(p2p.NewCentralizedClient(ep, "server", st), st)
+		return core.NewServent(p2p.NewCentralizedClient(ep, "server", st, p2p.Env{}), st)
 	}
 	alice, err := newPeer("alice")
 	if err != nil {

@@ -58,13 +58,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	p2p.NewIndexServer(sep)
+	p2p.NewIndexServer(sep, index.NewStore(), p2p.Env{})
 	ep, err := net.Endpoint("founder")
 	if err != nil {
 		return err
 	}
 	st := index.NewStore()
-	founder, err := core.NewServent(p2p.NewCentralizedClient(ep, "server", st), st)
+	founder, err := core.NewServent(p2p.NewCentralizedClient(ep, "server", st, p2p.Env{}), st)
 	if err != nil {
 		return err
 	}

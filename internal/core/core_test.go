@@ -41,14 +41,14 @@ func newFixture(t *testing.T, n int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{net: net, server: p2p.NewIndexServer(sep)}
+	f := &fixture{net: net, server: p2p.NewIndexServer(sep, index.NewStore(), p2p.Env{})}
 	for i := 0; i < n; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("peer%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := index.NewStore()
-		client := p2p.NewCentralizedClient(ep, "server", st)
+		client := p2p.NewCentralizedClient(ep, "server", st, p2p.Env{})
 		sv, err := NewServent(client, st)
 		if err != nil {
 			t.Fatal(err)
@@ -570,7 +570,7 @@ func TestGnutellaServents(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := index.NewStore()
-		node := p2p.NewGnutellaNode(ep, st)
+		node := p2p.NewGnutellaNode(ep, st, p2p.Env{})
 		nodes = append(nodes, node)
 		sv, err := NewServent(node, st)
 		if err != nil {

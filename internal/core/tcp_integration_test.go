@@ -42,7 +42,7 @@ func TestCentralizedOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serverNode.Close()
-	p2p.NewIndexServer(serverNode)
+	p2p.NewIndexServer(serverNode, index.NewStore(), p2p.Env{})
 
 	newPeer := func() (*core.Servent, func()) {
 		node, err := transport.ListenTCP("127.0.0.1:0")
@@ -50,7 +50,7 @@ func TestCentralizedOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := index.NewStore()
-		sv, err := core.NewServent(p2p.NewCentralizedClient(node, serverNode.ID(), st), st)
+		sv, err := core.NewServent(p2p.NewCentralizedClient(node, serverNode.ID(), st, p2p.Env{}), st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestGnutellaOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := index.NewStore()
-		node := p2p.NewGnutellaNode(tn, st)
+		node := p2p.NewGnutellaNode(tn, st, p2p.Env{})
 		sv, err := core.NewServent(node, st)
 		if err != nil {
 			t.Fatal(err)

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/p2p"
 	"repro/internal/query"
 	"repro/internal/transport"
 )
@@ -101,6 +102,9 @@ type Config struct {
 	// The paper-faithful (and expensive) baseline — E14 measures the
 	// message-count gap between this and the adaptive default.
 	RepublishAlways bool
+	// Env supplies the node's clock, metrics registry and tracer; its
+	// zero value means wall clock, metrics discarded and tracing off.
+	Env p2p.Env
 }
 
 func (c Config) withDefaults() Config {

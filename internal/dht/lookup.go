@@ -133,14 +133,15 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 	}
 	// returned marks peers whose reply carried records (they hold the
 	// value, so they are not cache-STORE candidates); splitFanout is
-	// the widest sub-key split any holder advertised.
+	// the widest sub-key split any holder advertised, capped at
+	// cfg.SplitFanout.
 	splitFanout := 0
 
 	for {
 		// Pick up to α unqueried candidates among the K closest
 		// still-viable entries. Each wave is one trace span; the RPCs
 		// it issues are stamped with the wave's context.
-		wsp := n.tr().Start(tctx, "wave")
+		wsp := n.tracer.Start(tctx, "wave")
 		wctx := wsp.ContextOr(tctx)
 		wave := sc.wave[:0]
 		viable := 0
@@ -197,8 +198,15 @@ func (n *Node) lookup(tctx trace.Context, target ID, vq *valueQuery) lookupOutco
 				if reply.Complete {
 					out.fromCache = true
 				}
-				if reply.Split > splitFanout {
-					splitFanout = reply.Split
+				split := reply.Split
+				if split > n.cfg.SplitFanout {
+					// Peer input: a holder may not widen the fan-in
+					// past this node's own configured fanout.
+					split = n.cfg.SplitFanout
+					n.mSplitRejected.Inc()
+				}
+				if split > splitFanout {
+					splitFanout = split
 				}
 			case *findNodeReplyPayload:
 				peers = reply.Peers

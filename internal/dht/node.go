@@ -34,10 +34,10 @@ type Node struct {
 	records *recordStore
 	pending *p2p.PendingTable
 	clk     dsim.Clock
+	tracer  *trace.Tracer
 
 	mu     sync.RWMutex
 	attach p2p.AttachmentProvider
-	tracer *trace.Tracer
 	closed bool
 
 	// annMu guards lastAnnounce: per-key memory of the last announce
@@ -46,8 +46,7 @@ type Node struct {
 	annMu        sync.Mutex
 	lastAnnounce map[ID]announceState
 
-	// Telemetry handles, resolved by SetMetrics (default: a private
-	// registry, preserving per-node semantics for LookupCounters).
+	// Telemetry handles, resolved by bindMetrics.
 	reg            *metrics.Registry
 	nm             *p2p.NodeMetrics
 	mLookups       *metrics.Counter
@@ -57,6 +56,7 @@ type Node struct {
 	mShortcircuits *metrics.Counter
 	mCacheStores   *metrics.Counter
 	mKeySplits     *metrics.Counter
+	mSplitRejected *metrics.Counter
 	mRepubSkipped  *metrics.Counter
 }
 
@@ -70,11 +70,13 @@ type announceState struct {
 var _ p2p.Network = (*Node)(nil)
 
 // NewNode attaches a DHT node to the network. store holds the peer's
-// shared objects; cfg's zero value selects the package defaults.
+// shared objects; cfg's zero value selects the package defaults, and
+// cfg.Env supplies the node's clock, metrics registry and tracer.
 // Topology comes from Bootstrap (the simulator wires it; over TCP a
 // bootstrap list plays the same role).
 func NewNode(ep transport.Endpoint, store *index.Store, cfg Config) *Node {
 	cfg = cfg.withDefaults()
+	env := cfg.Env.WithDefaults()
 	self := NodeIDFor(ep.ID())
 	n := &Node{
 		ep:           ep,
@@ -84,22 +86,24 @@ func NewNode(ep transport.Endpoint, store *index.Store, cfg Config) *Node {
 		table:        NewTable(self, cfg.K),
 		records:      newRecordStore(cfg.RecordTTL, cfg.MaxRecordsPerKey),
 		pending:      p2p.NewPendingTable(),
-		clk:          dsim.Wall,
+		clk:          env.Clock,
+		tracer:       env.Tracer,
 		lastAnnounce: make(map[ID]announceState),
 	}
-	n.SetMetrics(metrics.NewRegistry())
+	n.bindMetrics(env.Metrics)
 	ep.SetHandler(n.handle)
 	return n
 }
 
-// SetMetrics points the node's telemetry at reg: the dht.* lookup and
-// replication counters, the protocol-labeled p2p.* families (label
-// "dht"), and the record store's expiry counter. Like SetClock, call
-// before traffic starts. The default is a private registry, so
-// LookupCounters stays per-node unless a shared registry is injected.
-func (n *Node) SetMetrics(reg *metrics.Registry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// SetMetrics repoints the node's telemetry at reg, replacing
+// cfg.Env.Metrics. Call it before traffic starts: the handles are
+// plain fields that handlers read without a lock.
+func (n *Node) SetMetrics(reg *metrics.Registry) { n.bindMetrics(reg) }
+
+// bindMetrics resolves the node's telemetry handles in reg: the dht.*
+// lookup and replication counters, the protocol-labeled p2p.* families
+// (label "dht"), and the record store's counters.
+func (n *Node) bindMetrics(reg *metrics.Registry) {
 	n.reg = reg
 	n.nm = p2p.NewNodeMetrics(reg, "dht")
 	n.mLookups = reg.Counter("dht.lookups")
@@ -109,6 +113,7 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 	n.mShortcircuits = reg.Counter("dht.lookup_shortcircuits")
 	n.mCacheStores = reg.Counter("dht.cache_stores")
 	n.mKeySplits = reg.Counter("dht.key_splits")
+	n.mSplitRejected = reg.Counter("dht.split_rejected")
 	n.mRepubSkipped = reg.Counter("dht.republishes_skipped")
 	n.records.setCounters(
 		reg.Counter("dht.records_expired"),
@@ -117,33 +122,11 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 	)
 }
 
-// SetTracer installs the node's span recorder (nil disables tracing,
-// the default). Like SetClock, call before traffic starts.
-func (n *Node) SetTracer(t *trace.Tracer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tracer = t
-}
-
-func (n *Node) tr() *trace.Tracer {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.tracer
-}
-
 // PeerID implements p2p.Network.
 func (n *Node) PeerID() transport.PeerID { return n.ep.ID() }
 
 // ID returns the node's point in the keyspace.
 func (n *Node) ID() ID { return n.self }
-
-// SetClock installs the clock that paces RPC timeouts and record
-// expiry (default wall). Call before traffic starts.
-func (n *Node) SetClock(clk dsim.Clock) {
-	if clk != nil {
-		n.clk = clk
-	}
-}
 
 // SetAttachmentProvider implements p2p.Network.
 func (n *Node) SetAttachmentProvider(p p2p.AttachmentProvider) {
@@ -155,24 +138,9 @@ func (n *Node) SetAttachmentProvider(p p2p.AttachmentProvider) {
 // TableLen returns the number of live routing-table contacts.
 func (n *Node) TableLen() int { return n.table.Len() }
 
-// ClosestContacts returns up to count live routing-table contacts
-// sorted by XOR distance to target — routing introspection for debug
-// surfaces and experiments (who would this node's next lookup wave
-// hit?).
-func (n *Node) ClosestContacts(target ID, count int) []Contact {
-	return n.table.Closest(target, count)
-}
-
 // RecordCount returns how many unexpired records this node holds for
 // the keyspace.
 func (n *Node) RecordCount() int { return n.records.len(n.clk.Now()) }
-
-// Metrics returns the registry this node records into.
-func (n *Node) Metrics() *metrics.Registry {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.reg
-}
 
 // Bootstrap seeds the routing table with the given peers and runs the
 // Kademlia join: an iterative lookup of the node's own ID, which
@@ -212,7 +180,7 @@ func (n *Node) Publish(doc *index.Document) error {
 		return err
 	}
 	n.nm.Publishes.Inc()
-	sp := n.tr().Root("publish")
+	sp := n.tracer.Root("publish")
 	sp.SetCommunity(doc.CommunityID)
 	defer sp.Finish()
 	return n.announce(sp.Context(), []*index.Document{doc})
@@ -229,7 +197,7 @@ func (n *Node) PublishBatch(docs []*index.Document) error {
 		return err
 	}
 	n.nm.Publishes.Add(int64(len(docs)))
-	sp := n.tr().Root("publish")
+	sp := n.tracer.Root("publish")
 	defer sp.Finish()
 	return n.announce(sp.Context(), docs)
 }
@@ -306,7 +274,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 		payloads = append(payloads, codec.Encode(&chunk))
 	}
 	for _, t := range targets {
-		sp := n.tr().Start(tctx, "store")
+		sp := n.tracer.Start(tctx, "store")
 		sp.SetPeer(string(t.Peer))
 		sctx := sp.ContextOr(tctx)
 		for _, payload := range payloads {
@@ -332,7 +300,7 @@ func (n *Node) storeToTargets(tctx trace.Context, key ID, recs []Record, targets
 // atomically (completeness is the whole point of a cached set), so it
 // must arrive as one frame.
 func (n *Node) cacheStore(tctx trace.Context, key ID, target Contact, recs []Record, filter string) {
-	sp := n.tr().Start(tctx, "cache-store")
+	sp := n.tracer.Start(tctx, "cache-store")
 	sp.SetPeer(string(target.Peer))
 	sctx := sp.ContextOr(tctx)
 	frame := storePayload{Key: key, Records: recs, Cached: true, Filter: filter}
@@ -384,7 +352,7 @@ func (n *Node) splitKey(key ID, communityID string) {
 		return
 	}
 	n.mKeySplits.Inc()
-	sp := n.tr().Root("key-split")
+	sp := n.tracer.Root("key-split")
 	sp.SetCommunity(communityID)
 	defer sp.Finish()
 	tctx := sp.Context()
@@ -410,7 +378,7 @@ func (n *Node) Unpublish(id index.DocID) error {
 	if n.isClosed() {
 		return p2p.ErrClosed
 	}
-	sp := n.tr().Root("unpublish")
+	sp := n.tracer.Root("unpublish")
 	defer sp.Finish()
 	tctx := sp.Context()
 	doc, err := n.store.Get(id)
@@ -428,7 +396,7 @@ func (n *Node) unstore(tctx trace.Context, key ID, id index.DocID) {
 	frame := unstorePayload{Key: key, DocID: id, Provider: n.ep.ID()}
 	payload := codec.Encode(&frame)
 	for _, t := range out.contacts {
-		sp := n.tr().Start(tctx, "unstore")
+		sp := n.tracer.Start(tctx, "unstore")
 		sp.SetPeer(string(t.Peer))
 		sctx := sp.ContextOr(tctx)
 		_ = n.ep.Send(transport.Message{To: t.Peer, Type: MsgUnstore, Payload: payload,
@@ -455,7 +423,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 		f = query.MatchAll{}
 	}
 	start := n.clk.Now()
-	sp := n.tr().Start(opts.Trace, "search")
+	sp := n.tracer.Start(opts.Trace, "search")
 	sp.SetCommunity(communityID)
 	defer sp.Finish()
 	key := KeyForCommunity(communityID)
@@ -519,7 +487,7 @@ func (n *Node) Search(communityID string, f query.Filter, opts p2p.SearchOptions
 // Providers returns the provider records replicated under a
 // document's key: the DocID-keyed half of the keyspace.
 func (n *Node) Providers(id index.DocID) []Record {
-	sp := n.tr().Root("providers")
+	sp := n.tracer.Root("providers")
 	defer sp.Finish()
 	out := n.lookup(sp.Context(), KeyForDoc(id), &valueQuery{filter: query.MatchAll{}.String()})
 	merged := make(map[recordKey]Record, len(out.records))
@@ -546,7 +514,7 @@ func (n *Node) Retrieve(id index.DocID, from transport.PeerID) (*index.Document,
 	if from == n.PeerID() {
 		return n.store.Get(id)
 	}
-	sp := n.tr().Root("fetch")
+	sp := n.tracer.Root("fetch")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
 	doc, err := p2p.RetrieveFrom(n.clk, n.ep, n.pending, &sp, id, from, 0)
@@ -560,7 +528,7 @@ func (n *Node) Retrieve(id index.DocID, from transport.PeerID) (*index.Document,
 
 // RetrieveAttachment implements p2p.Network.
 func (n *Node) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, error) {
-	sp := n.tr().Root("attachment")
+	sp := n.tracer.Root("attachment")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
 	return p2p.RetrieveAttachmentFrom(n.clk, n.ep, n.pending, &sp, uri, from, 0)
@@ -621,7 +589,7 @@ func (n *Node) Refresh() error {
 	if n.isClosed() {
 		return p2p.ErrClosed
 	}
-	sp := n.tr().Root("refresh")
+	sp := n.tracer.Root("refresh")
 	defer sp.Finish()
 	tctx := sp.Context()
 	n.CheckLiveness()
@@ -731,7 +699,7 @@ func (n *Node) handle(msg transport.Message) {
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp, tctx := n.startSpan(msg, "findnode.serve")
+		sp, tctx := p2p.HandlerSpan(n.tracer, n.ep, msg, "findnode.serve")
 		reply := findNodeReplyPayload{
 			ReqID: req.ReqID,
 			Peers: contactPeers(n.table.Closest(req.Target, n.cfg.K)),
@@ -751,7 +719,7 @@ func (n *Node) handle(msg transport.Message) {
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp, tctx := n.startSpan(msg, "findvalue.serve")
+		sp, tctx := p2p.HandlerSpan(n.tracer, n.ep, msg, "findvalue.serve")
 		sp.SetCommunity(req.CommunityID)
 		reply := findValueReplyPayload{
 			ReqID: req.ReqID,
@@ -782,7 +750,7 @@ func (n *Node) handle(msg transport.Message) {
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp, _ := n.startSpan(msg, "store.serve")
+		sp, _ := p2p.HandlerSpan(n.tracer, n.ep, msg, "store.serve")
 		switch {
 		case req.Cached:
 			// A caching STORE relays third-party providers by design,
@@ -821,7 +789,7 @@ func (n *Node) handle(msg transport.Message) {
 		if req.Provider != msg.From {
 			return
 		}
-		sp, _ := n.startSpan(msg, "unstore.serve")
+		sp, _ := p2p.HandlerSpan(n.tracer, n.ep, msg, "unstore.serve")
 		n.records.remove(req.Key, req.DocID, req.Provider)
 		sp.Finish()
 	case MsgPong:
@@ -842,22 +810,13 @@ func (n *Node) handle(msg transport.Message) {
 	case p2p.MsgFetchReply, p2p.MsgAttachmentReply:
 		p2p.ResolveRetrievalReply(n.pending, msg)
 	case p2p.MsgFetch:
-		p2p.ServeFetch(n.tr(), n.ep, n.store, msg)
+		p2p.ServeFetch(n.tracer, n.ep, n.store, msg)
 	case p2p.MsgAttachment:
 		n.mu.RLock()
 		p := n.attach
 		n.mu.RUnlock()
-		p2p.ServeAttachment(n.tr(), n.ep, p, msg)
+		p2p.ServeAttachment(n.tracer, n.ep, p, msg)
 	}
-}
-
-// startSpan opens a handler span for an inbound traced frame and
-// returns it with the context downstream sends should carry.
-func (n *Node) startSpan(msg transport.Message, op string) (trace.ActiveSpan, trace.Context) {
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := n.tr().StartAt(inCtx, op, transport.ChainOffset(n.ep))
-	sp.SetPeer(string(msg.From))
-	return sp, sp.ContextOr(inCtx)
 }
 
 // contactPeers projects contacts to their peer IDs for the wire.

@@ -122,16 +122,14 @@ func TestProvidersAndUnpublish(t *testing.T) {
 func TestRecordExpiryAndRefresh(t *testing.T) {
 	clk := dsim.NewVirtualClock()
 	net := transport.NewMemNetwork(transport.WithSeed(1))
-	cfg := Config{K: 3, Alpha: 2, RecordTTL: 10 * time.Second}
+	cfg := Config{K: 3, Alpha: 2, RecordTTL: 10 * time.Second, Env: p2p.Env{Clock: clk}}
 	var nodes []*Node
 	for i := 0; i < 10; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("peer%03d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd := NewNode(ep, index.NewStore(), cfg)
-		nd.SetClock(clk)
-		nodes = append(nodes, nd)
+		nodes = append(nodes, NewNode(ep, index.NewStore(), cfg))
 	}
 	for i := 1; i < len(nodes); i++ {
 		nodes[i].Bootstrap(nodes[0].PeerID())
@@ -209,15 +207,15 @@ func TestDeadContactRepair(t *testing.T) {
 // logarithmic (well under the flooding diameter) and repeated
 // lookups are deterministic.
 func TestLookupConvergence(t *testing.T) {
-	_, nodes := testNet(t, 64, Config{K: 8, Alpha: 3})
+	nodes, reg := sharedNet(t, 64, Config{K: 8, Alpha: 3})
 	target := KeyForCommunity("patterns")
-	before := nodes[17].Metrics().Snapshot()
+	before := reg.Snapshot()
 	out1 := nodes[17].lookup(trace.Context{}, target, nil)
 	out2 := nodes[17].lookup(trace.Context{}, target, nil)
 	if out1.rounds == 0 || out1.rounds > 6 {
 		t.Fatalf("rounds = %d, want 1..6", out1.rounds)
 	}
-	d := nodes[17].Metrics().Snapshot().Delta(before)
+	d := reg.Snapshot().Delta(before)
 	lookups, rounds, contacted := d.Counter("dht.lookups"), d.Counter("dht.lookup_rounds"), d.Counter("dht.peers_contacted")
 	if lookups != 2 || rounds != int64(out1.rounds+out2.rounds) || contacted <= 0 {
 		t.Fatalf("lookup counters inconsistent: lookups=%d rounds=%d (want %d) contacted=%d",
@@ -295,6 +293,7 @@ func sharedNet(t *testing.T, n int, cfg Config) ([]*Node, *metrics.Registry) {
 	t.Helper()
 	net := transport.NewMemNetwork(transport.WithSeed(1))
 	reg := metrics.NewRegistry()
+	cfg.Env.Metrics = reg
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("peer%03d", i)))
@@ -302,7 +301,6 @@ func sharedNet(t *testing.T, n int, cfg Config) ([]*Node, *metrics.Registry) {
 			t.Fatal(err)
 		}
 		nodes[i] = NewNode(ep, index.NewStore(), cfg)
-		nodes[i].SetMetrics(reg)
 	}
 	for i := 1; i < n; i++ {
 		nodes[i].Bootstrap(nodes[0].PeerID())
@@ -392,17 +390,14 @@ func TestAdaptiveRefreshSkips(t *testing.T) {
 	clk := dsim.NewVirtualClock()
 	net := transport.NewMemNetwork(transport.WithSeed(1))
 	reg := metrics.NewRegistry()
-	cfg := Config{K: 3, Alpha: 2, RecordTTL: 10 * time.Second}
+	cfg := Config{K: 3, Alpha: 2, RecordTTL: 10 * time.Second, Env: p2p.Env{Clock: clk, Metrics: reg}}
 	var nodes []*Node
 	for i := 0; i < 12; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("peer%03d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd := NewNode(ep, index.NewStore(), cfg)
-		nd.SetClock(clk)
-		nd.SetMetrics(reg)
-		nodes = append(nodes, nd)
+		nodes = append(nodes, NewNode(ep, index.NewStore(), cfg))
 	}
 	for i := 1; i < len(nodes); i++ {
 		nodes[i].Bootstrap(nodes[0].PeerID())
@@ -485,5 +480,46 @@ func TestHotKeySplitFanIn(t *testing.T) {
 		if len(rs) != 6 {
 			t.Fatalf("searcher %d filtered post-split hits = %d, want 6", searcher, len(rs))
 		}
+	}
+}
+
+// TestSplitClampedToFanout: a FIND_VALUE reply's Split is a count a
+// peer supplies. A reply advertising 64 sub-keys must not make a
+// querier configured for SplitFanout 8 run more than 8 sub-lookups.
+func TestSplitClampedToFanout(t *testing.T) {
+	net := transport.NewMemNetwork(transport.WithSeed(1))
+	reg := metrics.NewRegistry()
+	ep, err := net.Endpoint("querier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewNode(ep, index.NewStore(), Config{K: 4, Alpha: 2, SplitFanout: 8, Env: p2p.Env{Metrics: reg}})
+	liar, err := net.Endpoint("liar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar.SetHandler(func(msg transport.Message) {
+		if msg.Type != MsgFindValue {
+			return
+		}
+		var req findValuePayload
+		if err := req.DecodeBinary(msg.Payload); err != nil {
+			t.Error(err)
+			return
+		}
+		reply := findValueReplyPayload{ReqID: req.ReqID, Split: 64}
+		_ = liar.Send(transport.Message{To: msg.From, Type: MsgFindValueReply, Payload: codec.Encode(&reply)})
+	})
+	q.table.Observe(liar.ID())
+	before := reg.Snapshot()
+	if _, err := q.Search("patterns", nil, p2p.SearchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	d := reg.Snapshot().Delta(before)
+	if got := d.Counter("dht.lookups"); got > 1+8 {
+		t.Fatalf("dht.lookups = %d for one search, want at most 1 + SplitFanout = 9", got)
+	}
+	if d.Counter("dht.split_rejected") == 0 {
+		t.Fatal("dht.split_rejected = 0, want the oversized Split counted")
 	}
 }

@@ -47,7 +47,7 @@ type recordStore struct {
 	// sub-key fanout.
 	split map[ID]int
 	// Telemetry handles (dht.records_expired / records_evicted /
-	// cache_hits); installed by the node's SetMetrics before traffic
+	// cache_hits); installed by the node's bindMetrics before traffic
 	// starts.
 	expired   *metrics.Counter
 	evicted   *metrics.Counter

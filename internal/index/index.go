@@ -336,8 +336,10 @@ func (s *Store) Put(doc *Document) error {
 }
 
 // PutBatch inserts or replaces many documents, taking each shard lock
-// once per shard instead of once per document — the bulk-ingest path
-// for corpus seeding, snapshot load, and batched publication. The
+// once per batch instead of once per document — the bulk-ingest path
+// for corpus seeding, snapshot load, and batched publication. Every
+// touched shard stays locked until the whole batch is applied, so
+// Save sees all of a batch or none of it. The
 // batch is validated up front: on an ID-less document nothing is
 // written. Duplicate IDs within one batch behave like sequential Puts
 // (the last occurrence wins).
@@ -378,23 +380,37 @@ func (s *Store) PutBatch(docs []*Document) error {
 	for idx := range groups {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	unlock := s.lockShards(idxs)
+	defer unlock()
 	for _, idx := range idxs {
-		sh := s.shards[idx]
-		sh.mu.Lock()
 		if s.wal != nil {
 			if err := s.wal.appendRecord(idx, walRecord{Op: walOpPut, Docs: groups[idx]}); err != nil {
-				sh.mu.Unlock()
 				return err
 			}
 		}
 		for _, cp := range groups[idx] {
-			sh.putLocked(cp)
+			s.shards[idx].putLocked(cp)
 			s.dir.Store(cp.ID, idx)
 		}
-		sh.mu.Unlock()
 	}
 	return nil
+}
+
+// lockShards write-locks the shards a batch touches, in ascending
+// index order (the order Save, Load and Compact take them in), and
+// returns the matching unlock. Holding every touched shard for the
+// whole batch is what keeps a batch atomic to Save: a snapshot sees
+// all of it or none of it.
+func (s *Store) lockShards(idxs []uint32) (unlock func()) {
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	for _, idx := range idxs {
+		s.shards[idx].mu.Lock()
+	}
+	return func() {
+		for _, idx := range idxs {
+			s.shards[idx].mu.Unlock()
+		}
+	}
 }
 
 // evictForeign removes a previous copy of id living in a shard other
@@ -469,8 +485,9 @@ func (s *Store) Delete(id DocID) bool {
 	return true
 }
 
-// DeleteBatch removes many documents, taking each shard lock once per
-// shard. It returns how many of the IDs were present.
+// DeleteBatch removes many documents, holding every touched shard's
+// lock until the whole batch is applied (so Save sees all of it or
+// none of it). It returns how many of the IDs were present.
 func (s *Store) DeleteBatch(ids []DocID) int {
 	s.maybeCompact()
 	groups := make(map[uint32][]DocID)
@@ -484,17 +501,16 @@ func (s *Store) DeleteBatch(ids []DocID) int {
 	for idx := range groups {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	unlock := s.lockShards(idxs)
+	defer unlock()
 	n := 0
 	for _, idx := range idxs {
-		sh := s.shards[idx]
-		sh.mu.Lock()
 		if s.wal != nil {
 			if err := s.wal.appendRecord(idx, walRecord{Op: walOpDel, IDs: groups[idx]}); err != nil {
-				sh.mu.Unlock()
 				continue // this shard's deletes are skipped, not half-applied
 			}
 		}
+		sh := s.shards[idx]
 		for _, id := range groups[idx] {
 			if d, ok := sh.docs[id]; ok {
 				sh.removeLocked(d)
@@ -502,7 +518,6 @@ func (s *Store) DeleteBatch(ids []DocID) int {
 				n++
 			}
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }

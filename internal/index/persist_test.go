@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -120,16 +121,26 @@ func TestLoadPoisonedSnapshotLeavesStoreIntact(t *testing.T) {
 
 // TestSaveConsistentCut is the regression test for torn snapshots:
 // shard-by-shard locking let a concurrent cross-shard PutBatch appear
-// half-written. Save now read-locks every shard before copying, so
-// each batch is in a snapshot either wholly or not at all.
+// half-written. Save read-locks every shard before copying, and
+// PutBatch holds every shard it touches until the batch is applied,
+// so each batch is in a snapshot either wholly or not at all.
 func TestSaveConsistentCut(t *testing.T) {
 	s := NewStore(WithShards(8))
 	const comms = 8 // spread every batch across shards
+	// The writer stops after a fixed number of batches. Unbounded, the
+	// store grows while each Save encodes it, every Save takes longer
+	// than the last, and the test never ends; the cap also keeps the
+	// 7-character batch prefix below unique.
+	const batches = 1000
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	defer func() {
+		close(stop)
+		<-done
+	}()
 	go func() {
 		defer close(done)
-		for k := 0; ; k++ {
+		for k := 0; k < batches; k++ {
 			select {
 			case <-stop:
 				return
@@ -169,6 +180,65 @@ func TestSaveConsistentCut(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	<-done
+}
+
+// TestBatchHoldsEveryShard pins the locking that makes a batch atomic
+// to Save, deterministically: with a reader parked on the batch's
+// higher shard, the batch must not have released its lower shard with
+// half of its work visible there.
+func TestBatchHoldsEveryShard(t *testing.T) {
+	for _, op := range []string{"put", "delete"} {
+		t.Run(op, func(t *testing.T) {
+			s := NewStore(WithShards(8))
+			loComm, hiComm := "comm-0", "comm-1"
+			if s.shardIndex(loComm) > s.shardIndex(hiComm) {
+				loComm, hiComm = hiComm, loComm
+			}
+			lo, hi := s.shardIndex(loComm), s.shardIndex(hiComm)
+			if lo == hi {
+				t.Fatal("test communities share a shard")
+			}
+			loDoc := doc("d-lo", loComm, "lo", nil)
+			hiDoc := doc("d-hi", hiComm, "hi", nil)
+			if op == "delete" {
+				if err := s.PutBatch([]*Document{loDoc, hiDoc}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hiMu, loMu := &s.shards[hi].mu, &s.shards[lo].mu
+			hiMu.RLock()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if op == "put" {
+					if err := s.PutBatch([]*Document{loDoc, hiDoc}); err != nil {
+						t.Error(err)
+					}
+				} else {
+					s.DeleteBatch([]DocID{loDoc.ID, hiDoc.ID})
+				}
+			}()
+			// A writer waiting on hi makes new readers of hi wait too,
+			// so a failing TryRLock means the batch has reached hi.
+			for hiMu.TryRLock() {
+				hiMu.RUnlock()
+				runtime.Gosched()
+			}
+			if loMu.TryRLock() {
+				_, present := s.shards[lo].docs[loDoc.ID]
+				loMu.RUnlock()
+				if present == (op == "put") {
+					hiMu.RUnlock()
+					<-done
+					t.Fatalf("%s batch released shard %d with its half applied while shard %d was pending", op, lo, hi)
+				}
+			}
+			hiMu.RUnlock()
+			<-done
+			want := op == "put"
+			if s.Has(loDoc.ID) != want || s.Has(hiDoc.ID) != want {
+				t.Fatalf("after the %s batch: lo present %v, hi present %v, want %v", op, s.Has(loDoc.ID), s.Has(hiDoc.ID), want)
+			}
+		})
+	}
 }

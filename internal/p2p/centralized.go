@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dsim"
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/trace"
@@ -25,7 +24,8 @@ import (
 // the server only adds a provider table mapping each DocID to the
 // peers serving it.
 type IndexServer struct {
-	ep transport.Endpoint
+	ep     transport.Endpoint
+	tracer *trace.Tracer
 
 	// mu serializes registration state: providers and the matching
 	// store entries mutate together under it (TCP dispatches handlers
@@ -37,39 +37,21 @@ type IndexServer struct {
 	mu        sync.RWMutex
 	store     *index.Store
 	providers map[index.DocID][]transport.PeerID // registration order
-	tracer    *trace.Tracer
 }
 
-// NewIndexServer attaches a server to the given endpoint with a
-// default store configuration.
-func NewIndexServer(ep transport.Endpoint) *IndexServer {
-	return NewIndexServerOn(ep, index.NewStore())
-}
-
-// NewIndexServerOn attaches a server backed by the given store, so
-// deployments tune shard count and cache size to their load.
-func NewIndexServerOn(ep transport.Endpoint, store *index.Store) *IndexServer {
+// NewIndexServer attaches a server backed by the given store, so
+// deployments tune shard count and cache size to their load. The
+// server records spans on env.Tracer; it keeps no timers or counters
+// of its own.
+func NewIndexServer(ep transport.Endpoint, store *index.Store, env Env) *IndexServer {
 	s := &IndexServer{
 		ep:        ep,
 		store:     store,
 		providers: make(map[index.DocID][]transport.PeerID),
+		tracer:    env.Tracer,
 	}
 	ep.SetHandler(s.handle)
 	return s
-}
-
-// SetTracer installs the server's span recorder (nil disables
-// tracing, the default). Call before traffic starts.
-func (s *IndexServer) SetTracer(t *trace.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = t
-}
-
-func (s *IndexServer) tr() *trace.Tracer {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tracer
 }
 
 // Len returns the number of distinct registered documents.
@@ -106,7 +88,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 		if err := reg.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp := s.startSpan(msg, "register.serve")
+		sp, _ := HandlerSpan(s.tracer, s.ep, msg, "register.serve")
 		s.register(msg.From, []registerPayload{reg})
 		sp.Finish()
 	case MsgRegisterBatch:
@@ -114,7 +96,7 @@ func (s *IndexServer) handle(msg transport.Message) {
 		if err := batch.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp := s.startSpan(msg, "register.serve")
+		sp, _ := HandlerSpan(s.tracer, s.ep, msg, "register.serve")
 		s.register(msg.From, batch.Docs)
 		sp.Finish()
 	case MsgUnregister:
@@ -142,10 +124,8 @@ func (s *IndexServer) handle(msg transport.Message) {
 		if err := req.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-		sp := s.startSpan(msg, "search.serve")
+		sp, tctx := HandlerSpan(s.tracer, s.ep, msg, "search.serve")
 		sp.SetCommunity(req.CommunityID)
-		tctx := sp.ContextOr(inCtx)
 		f, err := query.Parse(req.Filter)
 		if err != nil {
 			f = query.MatchAll{}
@@ -162,13 +142,6 @@ func (s *IndexServer) handle(msg transport.Message) {
 		sp.AddMsgs(1, int64(len(payload)))
 		sp.Finish()
 	}
-}
-
-// startSpan opens a handler span for an inbound traced frame.
-func (s *IndexServer) startSpan(msg transport.Message, op string) trace.ActiveSpan {
-	sp := s.tr().StartAt(trace.Context{Trace: msg.TraceID, Span: msg.SpanID}, op, transport.ChainOffset(s.ep))
-	sp.SetPeer(string(msg.From))
-	return sp
 }
 
 // register records from as a provider of each document and upserts the
@@ -242,11 +215,7 @@ type CentralizedClient struct {
 	pending *PendingTable
 	clk     dsim.Clock
 	nm      *NodeMetrics
-	// metricsProto labels this client's telemetry; "centralized" here,
-	// overridden to "fasttrack" by NewFastTrackLeaf (a leaf is this
-	// client pointed at a super-peer).
-	metricsProto string
-	tracer       *trace.Tracer
+	tracer  *trace.Tracer
 
 	mu     sync.RWMutex
 	server transport.PeerID // mutable: Rehome repoints it after failover
@@ -258,59 +227,28 @@ var _ Network = (*CentralizedClient)(nil)
 
 // NewCentralizedClient attaches a client to the network; server is the
 // index server's peer ID. store holds the peer's shared objects.
-func NewCentralizedClient(ep transport.Endpoint, server transport.PeerID, store *index.Store) *CentralizedClient {
+func NewCentralizedClient(ep transport.Endpoint, server transport.PeerID, store *index.Store, env Env) *CentralizedClient {
+	return newClient(ep, server, store, env, "centralized")
+}
+
+// newClient builds a client whose telemetry is labeled proto.
+func newClient(ep transport.Endpoint, server transport.PeerID, store *index.Store, env Env, proto string) *CentralizedClient {
+	env = env.WithDefaults()
 	c := &CentralizedClient{
-		ep:           ep,
-		server:       server,
-		store:        store,
-		pending:      NewPendingTable(),
-		clk:          dsim.Wall,
-		metricsProto: "centralized",
+		ep:      ep,
+		server:  server,
+		store:   store,
+		pending: NewPendingTable(),
+		clk:     env.Clock,
+		nm:      NewNodeMetrics(env.Metrics, proto),
+		tracer:  env.Tracer,
 	}
-	c.nm = NewNodeMetrics(metrics.Discard(), c.metricsProto)
 	ep.SetHandler(c.handle)
 	return c
 }
 
-// SetMetrics points the client's telemetry at reg, labeled with the
-// client's protocol. Like SetClock, call before traffic starts;
-// metrics are discarded until then.
-func (c *CentralizedClient) SetMetrics(reg *metrics.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nm = NewNodeMetrics(reg, c.metricsProto)
-}
-
-func (c *CentralizedClient) nodeMetrics() *NodeMetrics {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.nm
-}
-
-// SetTracer installs the client's span recorder (nil disables
-// tracing, the default). Call before traffic starts.
-func (c *CentralizedClient) SetTracer(t *trace.Tracer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tracer = t
-}
-
-func (c *CentralizedClient) tr() *trace.Tracer {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tracer
-}
-
 // PeerID implements Network.
 func (c *CentralizedClient) PeerID() transport.PeerID { return c.ep.ID() }
-
-// SetClock installs the clock that paces this client's timeouts
-// (default wall). Call before traffic starts.
-func (c *CentralizedClient) SetClock(clk dsim.Clock) {
-	if clk != nil {
-		c.clk = clk
-	}
-}
 
 // Server returns the index server (or super-peer) this client is
 // currently attached to.
@@ -332,8 +270,8 @@ func (c *CentralizedClient) Publish(doc *index.Document) error {
 	if err := c.store.Put(doc); err != nil {
 		return err
 	}
-	c.nodeMetrics().Publishes.Inc()
-	sp := c.tr().Root("publish")
+	c.nm.Publishes.Inc()
+	sp := c.tracer.Root("publish")
 	sp.SetPeer(string(c.Server()))
 	sp.SetCommunity(doc.CommunityID)
 	defer sp.Finish()
@@ -361,14 +299,14 @@ func (c *CentralizedClient) PublishBatch(docs []*index.Document) error {
 	if err := c.store.PutBatch(docs); err != nil {
 		return err
 	}
-	c.nodeMetrics().Publishes.Add(int64(len(docs)))
+	c.nm.Publishes.Add(int64(len(docs)))
 	return c.registerBatch(c.Server(), docs)
 }
 
 // registerBatch streams docs to the given server in register-batch
 // chunks, recorded as one "register" root span when sampled.
 func (c *CentralizedClient) registerBatch(server transport.PeerID, docs []*index.Document) error {
-	sp := c.tr().Root("register")
+	sp := c.tracer.Root("register")
 	sp.SetPeer(string(server))
 	defer sp.Finish()
 	tctx := sp.Context()
@@ -431,9 +369,8 @@ func (c *CentralizedClient) Search(communityID string, f query.Filter, opts Sear
 	if f == nil {
 		f = query.MatchAll{}
 	}
-	nm := c.nodeMetrics()
 	start := c.clk.Now()
-	sp := c.tr().Start(opts.Trace, "search")
+	sp := c.tracer.Start(opts.Trace, "search")
 	sp.SetCommunity(communityID)
 	sp.SetPeer(string(c.Server()))
 	defer sp.Finish()
@@ -455,14 +392,14 @@ func (c *CentralizedClient) Search(communityID string, f query.Filter, opts Sear
 	sp.AddMsgs(1, int64(len(payload)))
 	if err != nil {
 		c.pending.Drop(reqID)
-		nm.CountError(err)
+		c.nm.CountError(err)
 		sp.SetErr(err)
 		return nil, fmt.Errorf("p2p: search: %w", err)
 	}
 	got, err := Await(c.clk, c.ep.Synchronous(), ch, opts.Timeout)
 	if err != nil {
 		c.pending.Drop(reqID)
-		nm.CountError(err)
+		c.nm.CountError(err)
 		sp.SetErr(err)
 		return nil, err
 	}
@@ -470,7 +407,7 @@ func (c *CentralizedClient) Search(communityID string, f query.Filter, opts Sear
 	if !ok {
 		return nil, fmt.Errorf("p2p: search reply: unexpected frame %T", got)
 	}
-	nm.ObserveSearch(c.clk, start, len(hit.Results))
+	c.nm.ObserveSearch(c.clk, start, len(hit.Results))
 	return hit.Results, nil
 }
 
@@ -479,22 +416,21 @@ func (c *CentralizedClient) Retrieve(id index.DocID, from transport.PeerID) (*in
 	if from == c.PeerID() {
 		return c.store.Get(id)
 	}
-	nm := c.nodeMetrics()
-	sp := c.tr().Root("fetch")
+	sp := c.tracer.Root("fetch")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
 	doc, err := RetrieveFrom(c.clk, c.ep, c.pending, &sp, id, from, 0)
 	if err != nil {
-		nm.CountError(err)
+		c.nm.CountError(err)
 		return nil, err
 	}
-	nm.Fetches.Inc()
+	c.nm.Fetches.Inc()
 	return doc, nil
 }
 
 // RetrieveAttachment implements Network.
 func (c *CentralizedClient) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, error) {
-	sp := c.tr().Root("attachment")
+	sp := c.tracer.Root("attachment")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
 	return RetrieveAttachmentFrom(c.clk, c.ep, c.pending, &sp, uri, from, 0)
@@ -523,12 +459,12 @@ func (c *CentralizedClient) handle(msg transport.Message) {
 	case MsgFetchReply, MsgAttachmentReply:
 		ResolveRetrievalReply(c.pending, msg)
 	case MsgFetch:
-		ServeFetch(c.tr(), c.ep, c.store, msg)
+		ServeFetch(c.tracer, c.ep, c.store, msg)
 	case MsgAttachment:
 		c.mu.RLock()
 		p := c.attach
 		c.mu.RUnlock()
-		ServeAttachment(c.tr(), c.ep, p, msg)
+		ServeAttachment(c.tracer, c.ep, p, msg)
 	}
 }
 

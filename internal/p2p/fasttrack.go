@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/trace"
@@ -55,11 +54,13 @@ type SuperPeer struct {
 	closed    bool
 }
 
-// NewSuperPeer attaches a super-peer to the network.
-func NewSuperPeer(ep transport.Endpoint) *SuperPeer {
+// NewSuperPeer attaches a super-peer to the network. It records spans
+// on env.Tracer and keeps no timers or counters of its own.
+func NewSuperPeer(ep transport.Endpoint, env Env) *SuperPeer {
 	s := &SuperPeer{
 		ep:        ep,
 		guids:     newGUIDSource(ep.ID()),
+		tracer:    env.Tracer,
 		leafIndex: make(map[index.DocID][]serverEntry),
 		seen:      make(map[uint64]transport.PeerID),
 		collect:   make(map[uint64]*hitCollector),
@@ -70,20 +71,6 @@ func NewSuperPeer(ep transport.Endpoint) *SuperPeer {
 
 // PeerID returns the super-peer's identity.
 func (s *SuperPeer) PeerID() transport.PeerID { return s.ep.ID() }
-
-// SetTracer installs the super-peer's span recorder (nil disables
-// tracing, the default). Call before traffic starts.
-func (s *SuperPeer) SetTracer(t *trace.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = t
-}
-
-func (s *SuperPeer) tr() *trace.Tracer {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tracer
-}
 
 // AddNeighbor links this super-peer to another (one direction).
 func (s *SuperPeer) AddNeighbor(peer transport.PeerID) {
@@ -173,7 +160,7 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		if err := reg.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp := s.startSpan(msg, "register.serve")
+		sp, _ := HandlerSpan(s.tracer, s.ep, msg, "register.serve")
 		s.registerLeaf(msg.From, []registerPayload{reg})
 		sp.Finish()
 	case MsgRegisterBatch:
@@ -181,7 +168,7 @@ func (s *SuperPeer) handle(msg transport.Message) {
 		if err := batch.DecodeBinary(msg.Payload); err != nil {
 			return
 		}
-		sp := s.startSpan(msg, "register.serve")
+		sp, _ := HandlerSpan(s.tracer, s.ep, msg, "register.serve")
 		s.registerLeaf(msg.From, batch.Docs)
 		sp.Finish()
 	case MsgUnregister:
@@ -246,11 +233,9 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	if err := req.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := s.startSpan(msg, "leaf.search")
+	sp, tctx := HandlerSpan(s.tracer, s.ep, msg, "leaf.search")
 	sp.SetCommunity(req.CommunityID)
 	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
 	f, err := query.Parse(req.Filter)
 	if err != nil {
 		f = query.MatchAll{}
@@ -296,13 +281,6 @@ func (s *SuperPeer) handleLeafSearch(msg transport.Message) {
 	sp.AddMsgs(1, int64(len(reply)))
 }
 
-// startSpan opens a handler span for an inbound traced frame.
-func (s *SuperPeer) startSpan(msg transport.Message, op string) trace.ActiveSpan {
-	sp := s.tr().StartAt(trace.Context{Trace: msg.TraceID, Span: msg.SpanID}, op, transport.ChainOffset(s.ep))
-	sp.SetPeer(string(msg.From))
-	return sp
-}
-
 // localSearch scans the leaf index in DocID order (providers keep
 // registration order within a document), so identical registrations
 // always yield identically ordered hits — map-order results would leak
@@ -340,11 +318,9 @@ func (s *SuperPeer) handleQuery(msg transport.Message) {
 	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := s.startSpan(msg, "query")
+	sp, tctx := HandlerSpan(s.tracer, s.ep, msg, "query")
 	sp.SetCommunity(q.CommunityID)
 	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
 	s.mu.Lock()
 	if _, dup := s.seen[q.GUID]; dup {
 		s.mu.Unlock()
@@ -400,9 +376,8 @@ func (s *SuperPeer) handleQueryHit(msg transport.Message) {
 	back, seen := s.seen[hit.GUID]
 	self := s.ep.ID()
 	s.mu.RUnlock()
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
 	if col != nil {
-		sp := s.startSpan(msg, "hit")
+		sp, _ := HandlerSpan(s.tracer, s.ep, msg, "hit")
 		sp.Finish()
 		col.add(hit.Results)
 		return
@@ -410,8 +385,7 @@ func (s *SuperPeer) handleQueryHit(msg transport.Message) {
 	if !seen || back == self {
 		return
 	}
-	sp := s.startSpan(msg, "hit.relay")
-	tctx := sp.ContextOr(inCtx)
+	sp, tctx := HandlerSpan(s.tracer, s.ep, msg, "hit.relay")
 	_ = s.ep.Send(transport.Message{To: back, Type: MsgQueryHit, Payload: msg.Payload,
 		TraceID: tctx.Trace, SpanID: tctx.Span})
 	sp.AddMsgs(1, int64(len(msg.Payload)))
@@ -429,12 +403,8 @@ type FastTrackLeaf struct {
 
 var _ Network = (*FastTrackLeaf)(nil)
 
-// NewFastTrackLeaf attaches a leaf to its super-peer.
-func NewFastTrackLeaf(ep transport.Endpoint, super transport.PeerID, store *index.Store) *FastTrackLeaf {
-	c := NewCentralizedClient(ep, super, store)
-	// A leaf is a centralized client pointed at a super-peer; its
-	// telemetry is labeled as fasttrack traffic.
-	c.metricsProto = "fasttrack"
-	c.nm = NewNodeMetrics(metrics.Discard(), c.metricsProto)
-	return &FastTrackLeaf{CentralizedClient: c}
+// NewFastTrackLeaf attaches a leaf to its super-peer. Its telemetry is
+// labeled as fasttrack traffic.
+func NewFastTrackLeaf(ep transport.Endpoint, super transport.PeerID, store *index.Store, env Env) *FastTrackLeaf {
+	return &FastTrackLeaf{CentralizedClient: newClient(ep, super, store, env, "fasttrack")}
 }

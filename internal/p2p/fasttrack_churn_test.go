@@ -23,7 +23,7 @@ func TestSuperPeerChurnRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := NewSuperPeer(sep)
+	sp := NewSuperPeer(sep, Env{})
 
 	const (
 		churners = 4  // leaves that register and get dropped repeatedly
@@ -38,7 +38,7 @@ func TestSuperPeerChurnRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewFastTrackLeaf(ep, "super", index.NewStore())
+		return NewFastTrackLeaf(ep, "super", index.NewStore(), Env{})
 	}
 
 	var wg sync.WaitGroup

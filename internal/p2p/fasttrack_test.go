@@ -25,7 +25,7 @@ func newFTFixture(t *testing.T, superN, leavesPer int) *ftFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.supers = append(f.supers, NewSuperPeer(ep))
+		f.supers = append(f.supers, NewSuperPeer(ep, Env{}))
 	}
 	for i := 0; i < superN; i++ {
 		f.supers[i].AddNeighbor(f.supers[(i+1)%superN].PeerID())
@@ -37,7 +37,7 @@ func newFTFixture(t *testing.T, superN, leavesPer int) *ftFixture {
 			t.Fatal(err)
 		}
 		super := f.supers[i%superN]
-		f.leaves = append(f.leaves, NewFastTrackLeaf(ep, super.PeerID(), index.NewStore()))
+		f.leaves = append(f.leaves, NewFastTrackLeaf(ep, super.PeerID(), index.NewStore(), Env{}))
 	}
 	return f
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dsim"
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -77,56 +76,21 @@ var _ Network = (*GnutellaNode)(nil)
 // NewGnutellaNode attaches a node to the overlay. Topology is supplied
 // via AddNeighbor (the simulator wires it; over TCP a bootstrap list
 // plays the same role).
-func NewGnutellaNode(ep transport.Endpoint, store *index.Store) *GnutellaNode {
+func NewGnutellaNode(ep transport.Endpoint, store *index.Store, env Env) *GnutellaNode {
+	env = env.WithDefaults()
 	g := &GnutellaNode{
 		ep:      ep,
 		store:   store,
 		pending: NewPendingTable(),
 		guids:   newGUIDSource(ep.ID()),
-		clk:     dsim.Wall,
+		clk:     env.Clock,
+		nm:      NewNodeMetrics(env.Metrics, "gnutella"),
+		tracer:  env.Tracer,
 		seen:    make(map[uint64]transport.PeerID),
 		collect: make(map[uint64]*hitCollector),
 	}
-	g.nm = NewNodeMetrics(metrics.Discard(), "gnutella")
 	ep.SetHandler(g.handle)
 	return g
-}
-
-// SetMetrics points the node's telemetry at reg, labeled "gnutella".
-// Like SetClock, call before traffic starts; metrics are discarded
-// until then.
-func (g *GnutellaNode) SetMetrics(reg *metrics.Registry) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.nm = NewNodeMetrics(reg, "gnutella")
-}
-
-func (g *GnutellaNode) nodeMetrics() *NodeMetrics {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.nm
-}
-
-// SetTracer installs the node's span recorder (nil disables tracing,
-// the default). Like SetClock, call before traffic starts.
-func (g *GnutellaNode) SetTracer(t *trace.Tracer) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.tracer = t
-}
-
-func (g *GnutellaNode) tr() *trace.Tracer {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.tracer
-}
-
-// SetClock installs the clock that paces this node's timeouts (default
-// wall). Call before traffic starts.
-func (g *GnutellaNode) SetClock(clk dsim.Clock) {
-	if clk != nil {
-		g.clk = clk
-	}
 }
 
 // PeerID implements Network.
@@ -170,7 +134,7 @@ func (g *GnutellaNode) Publish(doc *index.Document) error {
 	if err := g.store.Put(doc); err != nil {
 		return err
 	}
-	g.nodeMetrics().Publishes.Inc()
+	g.nm.Publishes.Inc()
 	return nil
 }
 
@@ -180,7 +144,7 @@ func (g *GnutellaNode) PublishBatch(docs []*index.Document) error {
 	if err := g.store.PutBatch(docs); err != nil {
 		return err
 	}
-	g.nodeMetrics().Publishes.Add(int64(len(docs)))
+	g.nm.Publishes.Add(int64(len(docs)))
 	return nil
 }
 
@@ -202,17 +166,16 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	nm := g.nodeMetrics()
 	start := g.clk.Now()
 	guid := g.guids.next()
-	sp := g.tr().Start(opts.Trace, "search")
+	sp := g.tracer.Start(opts.Trace, "search")
 	sp.SetCommunity(communityID)
 	tctx := sp.ContextOr(opts.Trace)
 	col := &hitCollector{done: make(chan struct{}), limit: opts.Limit}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		nm.CountError(ErrClosed)
+		g.nm.CountError(ErrClosed)
 		sp.SetErr(ErrClosed)
 		sp.Finish()
 		return nil, ErrClosed
@@ -250,7 +213,7 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	}
 	if g.ep.Synchronous() {
 		out := col.snapshot(opts.Limit)
-		nm.ObserveSearch(g.clk, start, len(out))
+		g.nm.ObserveSearch(g.clk, start, len(out))
 		sp.Finish()
 		return out, nil
 	}
@@ -259,7 +222,7 @@ func (g *GnutellaNode) Search(communityID string, f query.Filter, opts SearchOpt
 	case <-g.clk.After(timeoutOr(opts.Timeout)):
 	}
 	out := col.snapshot(opts.Limit)
-	nm.ObserveSearch(g.clk, start, len(out))
+	g.nm.ObserveSearch(g.clk, start, len(out))
 	sp.Finish()
 	return out, nil
 }
@@ -270,22 +233,21 @@ func (g *GnutellaNode) Retrieve(id index.DocID, from transport.PeerID) (*index.D
 	if from == g.PeerID() {
 		return g.store.Get(id)
 	}
-	nm := g.nodeMetrics()
-	sp := g.tr().Root("fetch")
+	sp := g.tracer.Root("fetch")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
 	doc, err := RetrieveFrom(g.clk, g.ep, g.pending, &sp, id, from, 0)
 	if err != nil {
-		nm.CountError(err)
+		g.nm.CountError(err)
 		return nil, err
 	}
-	nm.Fetches.Inc()
+	g.nm.Fetches.Inc()
 	return doc, nil
 }
 
 // RetrieveAttachment implements Network.
 func (g *GnutellaNode) RetrieveAttachment(uri string, from transport.PeerID) ([]byte, error) {
-	sp := g.tr().Root("attachment")
+	sp := g.tracer.Root("attachment")
 	sp.SetPeer(string(from))
 	defer sp.Finish()
 	return RetrieveAttachmentFrom(g.clk, g.ep, g.pending, &sp, uri, from, 0)
@@ -336,14 +298,14 @@ func (g *GnutellaNode) handle(msg transport.Message) {
 	case MsgPong:
 		g.handlePong(msg)
 	case MsgFetch:
-		ServeFetch(g.tr(), g.ep, g.store, msg)
+		ServeFetch(g.tracer, g.ep, g.store, msg)
 	case MsgFetchReply, MsgAttachmentReply:
 		ResolveRetrievalReply(g.pending, msg)
 	case MsgAttachment:
 		g.mu.RLock()
 		p := g.attach
 		g.mu.RUnlock()
-		ServeAttachment(g.tr(), g.ep, p, msg)
+		ServeAttachment(g.tracer, g.ep, p, msg)
 	}
 }
 
@@ -352,12 +314,9 @@ func (g *GnutellaNode) handleQuery(msg transport.Message) {
 	if err := q.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := g.tr().StartAt(inCtx, "query", transport.ChainOffset(g.ep))
-	sp.SetPeer(string(msg.From))
+	sp, tctx := HandlerSpan(g.tracer, g.ep, msg, "query")
 	sp.SetCommunity(q.CommunityID)
 	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
 	g.mu.Lock()
 	if _, dup := g.seen[q.GUID]; dup {
 		g.mu.Unlock()
@@ -412,10 +371,8 @@ func (g *GnutellaNode) handleQueryHit(msg transport.Message) {
 	back, seen := g.seen[hit.GUID]
 	self := g.ep.ID()
 	g.mu.RUnlock()
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
 	if col != nil {
-		sp := g.tr().StartAt(inCtx, "hit", transport.ChainOffset(g.ep))
-		sp.SetPeer(string(msg.From))
+		sp, _ := HandlerSpan(g.tracer, g.ep, msg, "hit")
 		sp.Finish()
 		col.add(hit.Results)
 		return
@@ -423,22 +380,12 @@ func (g *GnutellaNode) handleQueryHit(msg transport.Message) {
 	if !seen || back == self {
 		return // unknown or stale query: drop the hit
 	}
-	sp := g.tr().StartAt(inCtx, "hit.relay", transport.ChainOffset(g.ep))
-	sp.SetPeer(string(msg.From))
-	tctx := sp.ContextOr(inCtx)
+	sp, tctx := HandlerSpan(g.tracer, g.ep, msg, "hit.relay")
 	// Relay one hop back along the reverse path.
 	_ = g.ep.Send(transport.Message{To: back, Type: MsgQueryHit, Payload: msg.Payload,
 		TraceID: tctx.Trace, SpanID: tctx.Span})
 	sp.AddMsgs(1, int64(len(msg.Payload)))
 	sp.Finish()
-}
-
-// ForgetQueries clears the seen-GUID table (between experiment runs;
-// real Gnutella ages entries out).
-func (g *GnutellaNode) ForgetQueries() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.seen = make(map[uint64]transport.PeerID)
 }
 
 // String describes the node.

@@ -32,6 +32,7 @@ import (
 	"repro/internal/dsim"
 	"repro/internal/errs"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/p2p/codec"
 	"repro/internal/query"
 	"repro/internal/trace"
@@ -91,6 +92,29 @@ const (
 	DefaultTTL     = 7
 	DefaultTimeout = 2 * time.Second
 )
+
+// Env is what a protocol node takes from its host at construction and
+// keeps for its lifetime: the clock that paces its timeouts, the
+// registry its telemetry records into, and its span recorder. The zero
+// value means wall clock, metrics discarded and tracing off.
+type Env struct {
+	Clock   dsim.Clock
+	Metrics *metrics.Registry
+	Tracer  *trace.Tracer
+}
+
+// WithDefaults returns e with its nil clock and registry replaced by
+// the wall clock and the discard registry (a nil tracer already means
+// tracing off).
+func (e Env) WithDefaults() Env {
+	if e.Clock == nil {
+		e.Clock = dsim.Wall
+	}
+	if e.Metrics == nil {
+		e.Metrics = metrics.Discard()
+	}
+	return e
+}
 
 // AttachmentProvider resolves a local attachment URI to its bytes.
 // The servent installs one so peers can download flagged attachments.
@@ -357,11 +381,8 @@ func ServeFetch(tr *trace.Tracer, ep transport.Endpoint, store *index.Store, msg
 	if err := req.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := tr.StartAt(inCtx, "fetch.serve", transport.ChainOffset(ep))
-	sp.SetPeer(string(msg.From))
+	sp, tctx := HandlerSpan(tr, ep, msg, "fetch.serve")
 	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
 	reply := fetchReplyPayload{ReqID: req.ReqID}
 	if doc, err := store.Get(req.DocID); err == nil {
 		reply.Found = true
@@ -380,17 +401,25 @@ func ServeFetch(tr *trace.Tracer, ep transport.Endpoint, store *index.Store, msg
 	sp.AddMsgs(1, int64(len(payload)))
 }
 
+// HandlerSpan opens tr's span for an inbound frame, as a child of the
+// frame's trace context, and returns it with the context the handler's
+// own sends carry (the inbound one when tr records nothing). Every
+// protocol's handlers share it, the DHT's included.
+func HandlerSpan(tr *trace.Tracer, ep transport.Endpoint, msg transport.Message, op string) (trace.ActiveSpan, trace.Context) {
+	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
+	sp := tr.StartAt(inCtx, op, transport.ChainOffset(ep))
+	sp.SetPeer(string(msg.From))
+	return sp, sp.ContextOr(inCtx)
+}
+
 // ServeAttachment answers MsgAttachment via the provider callback.
 func ServeAttachment(tr *trace.Tracer, ep transport.Endpoint, provider AttachmentProvider, msg transport.Message) {
 	var req attachmentPayload
 	if err := req.DecodeBinary(msg.Payload); err != nil {
 		return
 	}
-	inCtx := trace.Context{Trace: msg.TraceID, Span: msg.SpanID}
-	sp := tr.StartAt(inCtx, "attachment.serve", transport.ChainOffset(ep))
-	sp.SetPeer(string(msg.From))
+	sp, tctx := HandlerSpan(tr, ep, msg, "attachment.serve")
 	defer sp.Finish()
-	tctx := sp.ContextOr(inCtx)
 	reply := attachmentReplyPayload{ReqID: req.ReqID}
 	if provider != nil {
 		if data, ok := provider(req.URI); ok {

@@ -39,13 +39,13 @@ func newCentralFixture(t *testing.T, nClients int) *centralFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &centralFixture{net: net, server: NewIndexServer(sep)}
+	f := &centralFixture{net: net, server: NewIndexServer(sep, index.NewStore(), Env{})}
 	for i := 0; i < nClients; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("peer%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.clients = append(f.clients, NewCentralizedClient(ep, "server", index.NewStore()))
+		f.clients = append(f.clients, NewCentralizedClient(ep, "server", index.NewStore(), Env{}))
 	}
 	return f
 }
@@ -193,7 +193,7 @@ func newGnutellaLine(t *testing.T, n int) *gnutellaFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.nodes = append(f.nodes, NewGnutellaNode(ep, index.NewStore()))
+		f.nodes = append(f.nodes, NewGnutellaNode(ep, index.NewStore(), Env{}))
 	}
 	for i := 0; i+1 < n; i++ {
 		f.nodes[i].AddNeighbor(f.nodes[i+1].PeerID())
@@ -265,7 +265,7 @@ func TestGnutellaDuplicateSuppressionInCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, NewGnutellaNode(ep, index.NewStore()))
+		nodes = append(nodes, NewGnutellaNode(ep, index.NewStore(), Env{}))
 	}
 	for i := 0; i < n; i++ {
 		nodes[i].AddNeighbor(nodes[(i+1)%n].PeerID())
@@ -414,7 +414,7 @@ func TestProtocolIndependenceSameResults(t *testing.T) {
 	var gnodes []*GnutellaNode
 	for i := 0; i < 3; i++ {
 		ep, _ := net.Endpoint(transport.PeerID(fmt.Sprintf("g%d", i)))
-		gnodes = append(gnodes, NewGnutellaNode(ep, index.NewStore()))
+		gnodes = append(gnodes, NewGnutellaNode(ep, index.NewStore(), Env{}))
 	}
 	for i := range gnodes {
 		for j := range gnodes {

@@ -42,13 +42,13 @@ func TestDiscoverRespectsMaxNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := NewGnutellaNode(hubEP, index.NewStore())
+	hub := NewGnutellaNode(hubEP, index.NewStore(), Env{})
 	for i := 0; i < 12; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("s%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := NewGnutellaNode(ep, index.NewStore())
+		n := NewGnutellaNode(ep, index.NewStore(), Env{})
 		n.AddNeighbor(hub.PeerID())
 		hub.AddNeighbor(n.PeerID())
 	}
@@ -56,7 +56,7 @@ func TestDiscoverRespectsMaxNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outsider := NewGnutellaNode(outEP, index.NewStore())
+	outsider := NewGnutellaNode(outEP, index.NewStore(), Env{})
 	outsider.AddNeighbor(hub.PeerID())
 	hub.AddNeighbor(outsider.PeerID())
 

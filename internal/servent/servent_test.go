@@ -28,7 +28,7 @@ func newFixture(t *testing.T, n int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2p.NewIndexServer(sep)
+	p2p.NewIndexServer(sep, index.NewStore(), p2p.Env{})
 	f := &fixture{}
 	for i := 0; i < n; i++ {
 		ep, err := net.Endpoint(transport.PeerID(fmt.Sprintf("peer%d", i)))
@@ -36,7 +36,7 @@ func newFixture(t *testing.T, n int) *fixture {
 			t.Fatal(err)
 		}
 		st := index.NewStore()
-		sv, err := core.NewServent(p2p.NewCentralizedClient(ep, "server", st), st)
+		sv, err := core.NewServent(p2p.NewCentralizedClient(ep, "server", st, p2p.Env{}), st)
 		if err != nil {
 			t.Fatal(err)
 		}

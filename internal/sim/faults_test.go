@@ -58,13 +58,13 @@ func TestCentralizedLatencyAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2p.NewIndexServer(sep)
+	p2p.NewIndexServer(sep, index.NewStore(), p2p.Env{})
 	ep, err := net.Endpoint("p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := index.NewStore()
-	client := p2p.NewCentralizedClient(ep, "server", st)
+	client := p2p.NewCentralizedClient(ep, "server", st, p2p.Env{})
 	sv, err := core.NewServent(client, st)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -126,5 +127,39 @@ func TestGoldenTraceSingleClusterDeterminism(t *testing.T) {
 	h2, n2 := run()
 	if n1 == 0 || n1 != n2 || h1 != h2 {
 		t.Errorf("cluster trace not reproducible: (%x,%d) vs (%x,%d)", h1, n1, h2, n2)
+	}
+}
+
+// TestGoldenTraceHashesPinned pins the golden scenario's trace to
+// recorded values, so a refactor that must leave the wire unchanged is
+// checked against the last known trace and not only run against
+// itself. A change that alters the wire on purpose updates these
+// values and records the old and new ones with the change.
+func TestGoldenTraceHashesPinned(t *testing.T) {
+	pins := []struct {
+		proto Protocol
+		seed  int64
+		hash  uint64
+		len   uint64
+	}{
+		{Centralized, 42, 0x3d4a7ee512016ca6, 250},
+		{Centralized, 43, 0xdc14984acde40262, 247},
+		{Gnutella, 42, 0x3886a441b42f6bf5, 16687},
+		{Gnutella, 43, 0xf4ca208de9af3304, 16089},
+		{FastTrack, 42, 0xc2b967d7884dcf4d, 2081},
+		{FastTrack, 43, 0x7541be93bbaacb70, 2338},
+		{DHT, 42, 0xa0c647e0d6d547e7, 20780},
+		{DHT, 43, 0x60438cf14f6e3317, 21696},
+	}
+	for _, p := range pins {
+		t.Run(fmt.Sprintf("%s/%d", p.proto, p.seed), func(t *testing.T) {
+			r, err := RunScenario(goldenConfig(p.proto, p.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.TraceHash != p.hash || r.TraceLen != p.len {
+				t.Fatalf("trace = %016x/%d, pinned %016x/%d", r.TraceHash, r.TraceLen, p.hash, p.len)
+			}
+		})
 	}
 }

@@ -206,8 +206,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Server = p2p.NewIndexServerOn(sep, index.NewStore(index.WithMetrics(reg)))
-		c.Server.SetTracer(c.nodeTracer("server"))
+		c.Server = p2p.NewIndexServer(sep, index.NewStore(index.WithMetrics(reg)), c.nodeEnv("server"))
 	case Gnutella, DHT:
 		// Peers carry the whole overlay; nothing global to set up.
 	case FastTrack:
@@ -223,8 +222,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp := p2p.NewSuperPeer(ep)
-			sp.SetTracer(c.nodeTracer(ep.ID()))
+			sp := p2p.NewSuperPeer(ep, c.nodeEnv(ep.ID()))
 			c.supers = append(c.supers, sp)
 			c.superAlive = append(c.superAlive, true)
 		}
@@ -269,19 +267,13 @@ func (c *Cluster) newPeer() (int, error) {
 		return -1, err
 	}
 	st := index.NewStore(index.WithMetrics(c.reg))
+	env := c.nodeEnv(ep.ID())
 	var netw p2p.Network
 	switch c.cfg.Protocol {
 	case Centralized:
-		client := p2p.NewCentralizedClient(ep, "server", st)
-		client.SetClock(c.clock)
-		client.SetMetrics(c.reg)
-		client.SetTracer(c.nodeTracer(ep.ID()))
-		netw = client
+		netw = p2p.NewCentralizedClient(ep, "server", st, env)
 	case Gnutella:
-		node := p2p.NewGnutellaNode(ep, st)
-		node.SetClock(c.clock)
-		node.SetMetrics(c.reg)
-		node.SetTracer(c.nodeTracer(ep.ID()))
+		node := p2p.NewGnutellaNode(ep, st, env)
 		c.nodes = append(c.nodes, node)
 		netw = node
 	case DHT:
@@ -294,10 +286,8 @@ func (c *Cluster) newPeer() (int, error) {
 			SplitFanout:      c.cfg.DHTSplitFanout,
 			MaxRecordsPerKey: c.cfg.DHTMaxRecordsPerKey,
 			RepublishAlways:  c.cfg.DHTRepublishAlways,
+			Env:              env,
 		})
-		node.SetClock(c.clock)
-		node.SetMetrics(c.reg)
-		node.SetTracer(c.nodeTracer(ep.ID()))
 		c.dhts = append(c.dhts, node)
 		netw = node
 	case FastTrack:
@@ -313,12 +303,8 @@ func (c *Cluster) newPeer() (int, error) {
 			}
 			superIdx = live[c.rng.Intn(len(live))]
 		}
-		leaf := p2p.NewFastTrackLeaf(ep, c.supers[superIdx].PeerID(), st)
-		leaf.SetClock(c.clock)
-		leaf.SetMetrics(c.reg)
-		leaf.SetTracer(c.nodeTracer(ep.ID()))
+		netw = p2p.NewFastTrackLeaf(ep, c.supers[superIdx].PeerID(), st, env)
 		c.leafSuper = append(c.leafSuper, superIdx)
-		netw = leaf
 	default:
 		return -1, fmt.Errorf("sim: unknown protocol %v", c.cfg.Protocol)
 	}
@@ -393,16 +379,17 @@ func (c *Cluster) LivePeers() []int {
 // Clock returns the clock the cluster's protocol layers run on.
 func (c *Cluster) Clock() dsim.Clock { return c.clock }
 
-// nodeTracer mints one node's span recorder and attaches it to the
-// cluster collector; nil (tracing disabled) when TraceSample is 0.
-func (c *Cluster) nodeTracer(id transport.PeerID) *trace.Tracer {
-	if c.collector == nil {
-		return nil
+// nodeEnv wires one node onto the cluster's clock and registry and
+// mints its span recorder, attached to the cluster collector (no
+// tracer when TraceSample is 0).
+func (c *Cluster) nodeEnv(id transport.PeerID) p2p.Env {
+	env := p2p.Env{Clock: c.clock, Metrics: c.reg}
+	if c.collector != nil {
+		env.Tracer = trace.New(string(id), c.cfg.Protocol.String(),
+			trace.WithClock(c.clock), trace.WithRingSize(simTraceRing), trace.WithSampling(0))
+		c.collector.Attach(env.Tracer)
 	}
-	t := trace.New(string(id), c.cfg.Protocol.String(),
-		trace.WithClock(c.clock), trace.WithRingSize(simTraceRing), trace.WithSampling(0))
-	c.collector.Attach(t)
-	return t
+	return env
 }
 
 // Tracing reports whether per-query tracing is enabled.
@@ -415,12 +402,6 @@ func (c *Cluster) TraceCollector() *trace.Collector { return c.collector }
 // DriverTracer returns the tracer scenario drivers root query traces
 // on (nil when tracing is disabled).
 func (c *Cluster) DriverTracer() *trace.Tracer { return c.driverTr }
-
-// NumSuperPeers returns the super-peer count (0 outside FastTrack).
-func (c *Cluster) NumSuperPeers() int { return len(c.supers) }
-
-// SuperAlive reports whether super-peer s is still up.
-func (c *Cluster) SuperAlive(s int) bool { return c.superAlive[s] }
 
 func (c *Cluster) liveSupers() []int {
 	var out []int

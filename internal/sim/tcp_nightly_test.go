@@ -48,7 +48,7 @@ func TestTCPNightlyGnutella(t *testing.T) {
 		}
 		defer ep.Close()
 		eps[i] = ep
-		nodes[i] = p2p.NewGnutellaNode(ep, index.NewStore())
+		nodes[i] = p2p.NewGnutellaNode(ep, index.NewStore(), p2p.Env{})
 	}
 	// Ring plus skip-2 chords: stays connected after any two failures.
 	for i := range nodes {

@@ -22,7 +22,9 @@ const maxFrame = 16 << 20
 // fills its socket buffers and then fails the writes toward it after
 // this long; only its own traffic waits, since writes are serialised
 // per connection. Long enough for a slow uplink to drain a large
-// frame, short enough that a stalled peer is dropped in seconds.
+// frame, short enough that a stalled peer is dropped in seconds. It
+// also bounds the dial, so a black-holed address holds a Send for
+// this long rather than the OS connect timeout.
 const writeTimeout = 5 * time.Second
 
 // lenPrefix is the size of the big-endian frame length.
@@ -87,9 +89,8 @@ func ListenTCP(addr string) (*TCPNode, error) {
 	return n, nil
 }
 
-// SetMetrics points the node's traffic accounting at reg. Like the
-// protocol nodes' SetClock, call it before traffic starts; metrics are
-// discarded until then.
+// SetMetrics points the node's traffic accounting at reg. Call it
+// before traffic starts; metrics are discarded until then.
 func (n *TCPNode) SetMetrics(reg *metrics.Registry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -178,7 +179,7 @@ func (n *TCPNode) conn(to PeerID) (*tcpConn, error) {
 		return c, nil
 	}
 	n.mu.Unlock()
-	nc, err := net.Dial("tcp", string(to))
+	nc, err := net.DialTimeout("tcp", string(to), writeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
 	}
